@@ -230,6 +230,8 @@ def cross_validate(
     """
     if not params.is_gapped():
         _check_inputs(params, math.inf, n_grid_start)
+    if n_grid_start > n_grid_max:
+        raise ValueError(f"n_grid must be <= {n_grid_max} for cross-validation, got {n_grid_start}")
     work = params if k_max is not None else _conditioned(params)
     cutoff = k_max if k_max is not None else default_k_max(work)
 

@@ -159,7 +159,10 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def _sample_count(t_max: float, dt: float) -> int:
     if not (t_max >= 0.0 and dt > 0.0):
         raise ConfigError(f"need t_max >= 0 and dt > 0, got t_max={t_max}, dt={dt}")
-    return max(0, int(round(t_max / dt)))
+    count = t_max / dt
+    if not math.isfinite(count):
+        raise ConfigError(f"t_max / dt overflows, got t_max={t_max}, dt={dt}")
+    return max(0, int(round(count)))
 
 
 def _chern_row(result: chirality.ChernResult) -> str:
@@ -211,6 +214,7 @@ def run_damp(config: dict) -> list[str]:
         e0=config["e0"], delta=config["delta"], epsilon=config["epsilon"],
         gamma=config["gamma"],
     )
+    _sample_count(config["t_max"], config["dt"])
     rho0 = DensityMatrix.from_state(QubitState.plus())
     times, rhos = dynamics.evolve_damped(rho0, params, config["t_max"], config["dt"])
     lines = ["t,p_diff,pop_plus,pop_minus,purity"]
@@ -229,6 +233,7 @@ def run_rabi(config: dict) -> list[str]:
         e0=config["e0"], delta=config["delta"], epsilon=config["epsilon"],
         drive_amp=config["amp"], drive_freq=config["omega"],
     )
+    _sample_count(config["t_max"], config["dt"])
     if params.drive_amp == 0.0:
         # no drive: use the exact closed propagator, matching `beat` bit for bit
         closed = TwoLevelParams(e0=params.e0, delta=params.delta, epsilon=params.epsilon)

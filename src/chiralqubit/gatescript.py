@@ -14,6 +14,11 @@ The register size is inferred from the highest qubit index used (at least
 one qubit).  Execution starts from the all-|-1> product state with every
 link absent; the RF bias profile is a linear gradient eps_q =
 field_step * (q + 1) along the chain.
+
+Many-shot runs simulate each distinct outcome history once and replay only
+the Born draws: the cost of a run scales with its distinct histories, not
+with its shots, the cache memory is bounded by CACHE_BUDGET_AMPS, and the
+outcomes are byte-identical to replaying the whole script for every shot.
 """
 
 from __future__ import annotations
@@ -27,16 +32,16 @@ from .register import CouplingLink, FieldProfile, RegisterState
 
 OPS = ("RESET", "GATE", "LINK", "XCHG", "CNOT", "RF", "MEASURE")
 
+# Amplitudes the prefix cache of one run may hold: 4 MiB of complex128, or 64
+# twelve-qubit states.  Past it, new outcome histories are computed from the
+# current state and not stored.
+CACHE_BUDGET_AMPS = 1 << 18
+
 
 class ScriptError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-class LinkOffAt(register.LinkOff):
-    def __init__(self, i: int, j: int):
-        super().__init__(f"link ({i}, {j}) is off or absent")
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,7 @@ class ScriptRun:
     instructions: list[Instruction]
     shot_outcomes: list[list[tuple[int, int]]]  # per shot: (qubit, outcome) in order
     final_state: RegisterState
+    cached_amps: int = 0  # amplitudes the prefix cache held at the end of the run
 
     def outcome_frequencies(self) -> dict[tuple[tuple[int, int], ...], float]:
         counts: dict[tuple[tuple[int, int], ...], int] = {}
@@ -177,6 +183,16 @@ class ScriptRun:
             counts[key] = counts.get(key, 0) + 1
         total = len(self.shot_outcomes)
         return {key: counts[key] / total for key in sorted(counts)}
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """Where a shot stands once it has run up to its next MEASURE."""
+
+    state: RegisterState
+    links: dict[tuple[int, int], CouplingLink]
+    at: int  # index of that MEASURE; len(instructions) when the script is done
+    p_plus: float | None  # Born probability of reading +1 there
 
 
 def run_script(
@@ -191,6 +207,16 @@ def run_script(
     The measurement generator is seeded once and persists across shots, so a
     run with S shots is reproducible as a whole.  Link switches are classical
     settings replayed identically in every shot.
+
+    Every instruction but MEASURE is a deterministic function of the state
+    and the link settings, so a shot is fixed by its outcome history.  The
+    segment reached after each distinct history (state, links, next MEASURE
+    and its Born probability) is computed once and cached; each shot walks
+    the cache with one generator draw per MEASURE.  The cost of a run thus
+    scales with its distinct outcome histories, not with its shots, and the
+    outcomes and final state are bit-identical to replaying the script per
+    shot.  The cache holds at most CACHE_BUDGET_AMPS amplitudes; past that,
+    new histories are computed from the current state and not stored.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -198,35 +224,63 @@ def run_script(
     rng = register._as_rng(seed)
     profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
 
+    cache: dict[tuple[tuple[int, int], ...], _Segment] = {}
+    cached_amps = 0
     shot_outcomes: list[list[tuple[int, int]]] = []
-    state = RegisterState.all_minus(n)
     for _ in range(shots):
-        state = RegisterState.all_minus(n)
-        links: dict[tuple[int, int], CouplingLink] = {}
         outcomes: list[tuple[int, int]] = []
-        for instr in instructions:
-            try:
-                state, links = _execute(instr, state, links, profile, rng, rf_dt, outcomes)
-            except (ScriptError, register.LinkOff, dynamics.StepTooLarge):
-                raise
-            except (register.IndexOutOfRange, ValueError) as exc:
-                raise ScriptError(instr.line_no, str(exc)) from exc
+        parent = None
+        while True:
+            key = tuple(outcomes)
+            seg = cache.get(key)
+            if seg is None:
+                if parent is None:
+                    state, links, at = RegisterState.all_minus(n), {}, 0
+                else:
+                    state = register._project(parent.state, *outcomes[-1])
+                    links, at = parent.links, parent.at + 1
+                seg = _advance(instructions, at, state, links, profile, rf_dt)
+                if cached_amps + seg.state.amps.size <= CACHE_BUDGET_AMPS:
+                    cache[key] = seg
+                    cached_amps += seg.state.amps.size
+            if seg.p_plus is None:
+                break
+            q = instructions[seg.at].args[0]
+            outcomes.append((q, +1 if rng.random() < seg.p_plus else -1))
+            parent = seg
         shot_outcomes.append(outcomes)
-    return ScriptRun(n, instructions, shot_outcomes, state)
+    return ScriptRun(n, instructions, shot_outcomes, seg.state, cached_amps)
 
 
-def _link_key(i: int, j: int) -> tuple[int, int]:
+def _advance(instructions, at, state, links, profile, rf_dt) -> _Segment:
+    """Run instructions from index `at` up to the next MEASURE or the end."""
+    while at < len(instructions) and instructions[at].op != "MEASURE":
+        instr = instructions[at]
+        try:
+            state, links = _execute(instr, state, links, profile, rf_dt)
+        except (ScriptError, register.LinkOff, dynamics.StepTooLarge):
+            raise
+        except (register.IndexOutOfRange, ValueError) as exc:
+            raise ScriptError(instr.line_no, str(exc)) from exc
+        at += 1
+    p_plus = state.probability_plus(instructions[at].args[0]) if at < len(instructions) else None
+    return _Segment(state, links, at, p_plus)
+
+
+def _link_key(instr: Instruction, i: int, j: int) -> tuple[int, int]:
+    if abs(i - j) != 1:
+        raise ScriptError(instr.line_no, f"link must join adjacent qubits, got ({i}, {j})")
     return (min(i, j), max(i, j))
 
 
-def _get_link(links, i: int, j: int) -> CouplingLink:
-    link = links.get(_link_key(i, j))
+def _get_link(links, instr: Instruction, i: int, j: int) -> CouplingLink:
+    link = links.get(_link_key(instr, i, j))
     if link is None or not link.on:
-        raise LinkOffAt(i, j)
+        raise register.LinkOff(f"link ({i}, {j}) is off or absent")
     return link
 
 
-def _execute(instr, state, links, profile, rng, rf_dt, outcomes):
+def _execute(instr, state, links, profile, rf_dt):
     op, args = instr.op, instr.args
     if op == "RESET":
         state = register.initialize_reset(state, args[0], args[1])
@@ -234,22 +288,17 @@ def _execute(instr, state, links, profile, rng, rf_dt, outcomes):
         state = register.apply_single_gate(state, args[0], register.NAMED_GATES[args[1]])
     elif op == "LINK":
         i, j, on = args
-        if abs(i - j) != 1:
-            raise ScriptError(instr.line_no, f"link must join adjacent qubits, got ({i}, {j})")
         links = dict(links)
-        links[_link_key(i, j)] = CouplingLink(min(i, j), max(i, j), on=on)
+        links[_link_key(instr, i, j)] = CouplingLink(min(i, j), max(i, j), on=on)
     elif op == "XCHG":
         i, j, theta = args
-        state = register.exchange_pulse(state, _get_link(links, i, j), theta)
+        state = register.exchange_pulse(state, _get_link(links, instr, i, j), theta)
     elif op == "CNOT":
         c, t = args
-        state = register.cnot_composed(state, c, t, _get_link(links, c, t))
+        state = register.cnot_composed(state, c, t, _get_link(links, instr, c, t))
     elif op == "RF":
         q, amp, duration = args
         if any(link.on for link in links.values()):
             raise register.LinkOff("RF addressing requires all links off")
         state = register.selective_rf_pulse(state, profile, q, amp, duration, rf_dt)
-    elif op == "MEASURE":
-        outcome, state = register.measure(state, args[0], rng)
-        outcomes.append((args[0], outcome))
     return state, links

@@ -283,6 +283,21 @@ def selective_rf_pulse(
     return RegisterState(state.n, amps)
 
 
+def _project(state: RegisterState, q: int, value: int, source: int | None = None) -> RegisterState:
+    """Collapse qubit q onto chirality `value` and renormalize.
+
+    The kept amplitudes are qubit q's `source` component (default: `value`
+    itself); the other component is zeroed.
+    """
+    bit = _bit(value)
+    psi = state.amps.reshape([2] * state.n)
+    keep = np.take(psi, bit if source is None else _bit(source), axis=q)
+    keep = keep / math.sqrt(float(np.sum(np.abs(keep) ** 2)))
+    zero = np.zeros_like(keep)
+    parts = (keep, zero) if bit == 0 else (zero, keep)
+    return RegisterState(state.n, np.stack(parts, axis=q).reshape(-1))
+
+
 def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
     """Reset qubit q to the requested chirality basis state.
 
@@ -291,17 +306,9 @@ def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
     so the reset always succeeds deterministically.
     """
     _check_index(state, q)
-    bit = _bit(value)
     psi = state.amps.reshape([2] * state.n)
-    keep = np.take(psi, bit, axis=q)
-    weight = float(np.sum(np.abs(keep) ** 2))
-    if weight <= 1e-24:
-        keep = np.take(psi, 1 - bit, axis=q)
-        weight = float(np.sum(np.abs(keep) ** 2))
-    keep = keep / math.sqrt(weight)
-    zero = np.zeros_like(keep)
-    parts = (keep, zero) if bit == 0 else (zero, keep)
-    return RegisterState(state.n, np.stack(parts, axis=q).reshape(-1))
+    weight = float(np.sum(np.abs(np.take(psi, _bit(value), axis=q)) ** 2))
+    return _project(state, q, value, value if weight > 1e-24 else -value)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -321,13 +328,7 @@ def measure(state: RegisterState, q: int, seed) -> tuple[int, RegisterState]:
     rng = _as_rng(seed)
     p_plus = state.probability_plus(q)
     outcome = +1 if rng.random() < p_plus else -1
-    bit = _bit(outcome)
-    psi = state.amps.reshape([2] * state.n)
-    keep = np.take(psi, bit, axis=q)
-    keep = keep / math.sqrt(float(np.sum(np.abs(keep) ** 2)))
-    zero = np.zeros_like(keep)
-    parts = (keep, zero) if bit == 0 else (zero, keep)
-    return outcome, RegisterState(state.n, np.stack(parts, axis=q).reshape(-1))
+    return outcome, _project(state, q, outcome)
 
 
 def hall_voltage(outcome: int, v0: float) -> float:

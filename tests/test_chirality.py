@@ -154,3 +154,7 @@ class TestCrossValidate:
         report = cross_validate(GapParams(1.0, 1.0, +1), k_max=10.0, n_grid_start=256)
         assert report.quadrature.k_max == 10.0
         assert report.n_integer == +1
+
+    def test_start_grid_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="1024"):
+            cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=2048)

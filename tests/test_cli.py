@@ -74,6 +74,11 @@ class TestChern:
         assert main(["chern", "--config", config]) == 1
         assert "gapp" in capsys.readouterr().err
 
+    def test_start_grid_above_cap_is_config_error(self, tmp_path, capsys):
+        config = write(tmp_path / "c.cfg", "method = both\nn_grid = 2048\n")
+        assert main(["chern", "--config", config]) == 1
+        assert "1024" in capsys.readouterr().err
+
 
 class TestBeatDampRabi:
     def test_beat_half_period_row(self, tmp_path):
@@ -123,6 +128,13 @@ class TestBeatDampRabi:
         config = write(tmp_path / "c.cfg", "delta = 0.5\ngamma = 10.0\ndt = 0.05\n")
         assert main(["damp", "--config", config]) == 4
 
+    @pytest.mark.parametrize("subcommand", ["beat", "damp", "rabi"])
+    def test_overflowing_sample_count_is_config_error(self, tmp_path, capsys, subcommand):
+        config = write(tmp_path / "c.cfg", "t_max = 1e9\ndt = 1e-300\n")
+        assert main([subcommand, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t_max / dt" in err
+
 
 class TestChain:
     def test_swap_script_log(self, tmp_path):
@@ -155,6 +167,13 @@ class TestChain:
         script = write(tmp_path / "off.gates", "XCHG 0 1 1.0\n")
         config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
         assert main(["chain", "--config", config]) == 6
+
+    @pytest.mark.parametrize("line", ["XCHG 0 0 1.0", "CNOT 0 0"])
+    def test_same_qubit_link_is_script_error(self, tmp_path, capsys, line):
+        script = write(tmp_path / "same.gates", f"LINK 0 1 ON\n{line}\nMEASURE 0\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\nshots = 100\n")
+        assert main(["chain", "--config", config]) == 5
+        assert "line 2" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         script = write(

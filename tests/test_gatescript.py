@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chiralqubit import gatescript, register
 from chiralqubit.dynamics import StepTooLarge
 from chiralqubit.gatescript import (
     ScriptError,
@@ -10,7 +11,7 @@ from chiralqubit.gatescript import (
     parse_script,
     run_script,
 )
-from chiralqubit.register import LinkOff
+from chiralqubit.register import CouplingLink, FieldProfile, LinkOff, RegisterState
 
 SWAP_SCRIPT = """\
 RESET 0 +1
@@ -118,8 +119,10 @@ class TestExecution:
         assert run.shot_outcomes == [[(0, +1), (1, +1)]]
 
     def test_nonadjacent_link_rejected(self):
-        with pytest.raises(ScriptError):
-            run_script(parse_script("LINK 0 2 ON\n"), seed=0)
+        for text in ("LINK 0 2 ON\n", "LINK 0 1 ON\nXCHG 0 0 1.0\n", "LINK 0 1 ON\nCNOT 0 0\n"):
+            with pytest.raises(ScriptError) as excinfo:
+                run_script(parse_script(text), seed=0)
+            assert excinfo.value.line_no == text.count("\n")
 
     def test_semantic_error_carries_line(self):
         # negative pulse area surfaces as a script error on the XCHG line
@@ -142,3 +145,123 @@ class TestExecution:
     def test_gate_instruction(self):
         run = run_script(parse_script("GATE 0 X\nMEASURE 0\n"), seed=0)
         assert run.shot_outcomes == [[(0, +1)]]
+
+
+def _ghz(n: int) -> str:
+    lines = ["GATE 0 H"]
+    for q in range(n - 1):
+        lines += [f"LINK {q} {q + 1} ON", f"CNOT {q} {q + 1}"]
+    return "\n".join(lines + [f"MEASURE {q}" for q in range(n)]) + "\n"
+
+
+MIDCIRCUIT_SCRIPT = """\
+GATE 0 H
+GATE 2 H
+LINK 2 3 ON
+MEASURE 0
+LINK 0 1 ON
+CNOT 0 1
+LINK 0 1 OFF
+MEASURE 1
+RESET 0 -1
+GATE 0 H
+LINK 1 2 ON
+XCHG 1 2 0.7
+LINK 1 2 OFF
+CNOT 2 3
+MEASURE 2
+RESET 2 +1
+GATE 3 H
+MEASURE 0
+MEASURE 3
+"""
+
+RF_SCRIPT = """\
+GATE 0 H
+MEASURE 0
+RF 1 0.2 3.9269908169872414
+MEASURE 1
+GATE 0 H
+MEASURE 0
+"""
+
+ALL_H_12 = "".join(f"GATE {q} H\n" for q in range(12)) + "".join(f"MEASURE {q}\n" for q in range(12))
+
+# name -> (script, shots, seeds); the RF and 12-qubit scripts replay slowly, so they run fewer shots
+SHOT_CASES = {
+    "bell": (BELL_SCRIPT, 2000, (1, 2, 3)),
+    "ghz5": (_ghz(5), 200, (1, 2, 3)),
+    "ghz8": (_ghz(8), 100, (1, 2, 3)),
+    "midcircuit": (MIDCIRCUIT_SCRIPT, 200, (1, 2, 3)),
+    "rf": (RF_SCRIPT, 8, (1, 2)),
+    "all_h_12": (ALL_H_12, 20, (1, 2)),
+}
+
+
+def replay_every_shot(instructions, seed, shots, field_step=1.0, rf_dt=0.01):
+    """Reference: rerun the whole script from |-1...-1> for every shot."""
+    n = infer_register_size(instructions)
+    rng = np.random.default_rng(seed)
+    profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
+    shot_outcomes = []
+    for _ in range(shots):
+        state = RegisterState.all_minus(n)
+        links = {}
+        outcomes = []
+        for instr in instructions:
+            op, args = instr.op, instr.args
+            if op == "RESET":
+                state = register.initialize_reset(state, *args)
+            elif op == "GATE":
+                state = register.apply_single_gate(state, args[0], register.NAMED_GATES[args[1]])
+            elif op == "LINK":
+                i, j = sorted(args[:2])
+                links[(i, j)] = CouplingLink(i, j, on=args[2])
+            elif op == "XCHG":
+                state = register.exchange_pulse(state, links[tuple(sorted(args[:2]))], args[2])
+            elif op == "CNOT":
+                c, t = args
+                state = register.cnot_composed(state, c, t, links[tuple(sorted(args))])
+            elif op == "RF":
+                state = register.selective_rf_pulse(state, profile, *args, rf_dt)
+            elif op == "MEASURE":
+                outcome, state = register.measure(state, args[0], rng)
+                outcomes.append((args[0], outcome))
+        shot_outcomes.append(outcomes)
+    return shot_outcomes, state
+
+
+class TestShotCache:
+    @staticmethod
+    def check_against_replay(name, seeds=None):
+        script, shots, case_seeds = SHOT_CASES[name]
+        instructions = parse_script(script)
+        for seed in seeds or case_seeds:
+            outcomes, final = replay_every_shot(instructions, seed, shots)
+            run = run_script(instructions, seed=seed, shots=shots)
+            assert run.shot_outcomes == outcomes
+            assert np.array_equal(run.final_state.amps, final.amps)
+            assert run.cached_amps <= gatescript.CACHE_BUDGET_AMPS
+
+    @pytest.mark.parametrize("name", SHOT_CASES)
+    def test_matches_per_shot_replay(self, name):
+        self.check_against_replay(name)
+
+    @pytest.mark.parametrize("name", ["bell", "midcircuit", "rf"])
+    def test_no_store_path_matches_per_shot_replay(self, monkeypatch, name):
+        monkeypatch.setattr(gatescript, "CACHE_BUDGET_AMPS", 0)
+        self.check_against_replay(name, seeds=(4,))
+
+    def test_budget_bounds_cache(self, monkeypatch):
+        instructions = parse_script(ALL_H_12)
+        run = run_script(instructions, seed=5, shots=100)
+        assert run.cached_amps == gatescript.CACHE_BUDGET_AMPS  # 64 twelve-qubit states
+        monkeypatch.setattr(gatescript, "CACHE_BUDGET_AMPS", 5 * 4096 + 1)
+        small = run_script(instructions, seed=5, shots=100)
+        assert small.cached_amps == 5 * 4096
+        assert small.shot_outcomes == run.shot_outcomes
+        assert np.array_equal(small.final_state.amps, run.final_state.amps)
+
+    def test_shots_share_one_simulation(self):
+        run = run_script(parse_script(BELL_SCRIPT), seed=1, shots=5000)
+        assert run.cached_amps == 5 * 4  # root, two one-outcome and two two-outcome histories
