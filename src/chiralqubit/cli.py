@@ -10,7 +10,11 @@ errors.  Fixed exit codes:
     0  success                         4  StepTooLarge
     1  config error                    5  gate-script parse error
     2  gapless texture                 6  operation across an off link
-    3  invariant did not converge
+    3  invariant did not converge, or the two estimators disagree
+
+A trajectory (beat, damp, rabi) and an RF pulse may take at most
+dynamics.MAX_STEPS = 10**6 steps; more is a config error (exit 1), or a
+script error (exit 5) from inside a chain script.
 """
 
 from __future__ import annotations
@@ -24,62 +28,45 @@ import tempfile
 import numpy as np
 
 from . import chirality, device, dynamics, gatescript
-from .chirality import GaplessTexture, NotConverged
+from .chirality import GaplessTexture, MethodDisagreement, NotConverged
 from .device import MaterialParams
 from .dynamics import DensityMatrix, QubitState, StepTooLarge, TwoLevelParams
 from .gatescript import ScriptError
 from .kspace import GapParams
 from .register import LinkOff
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_GAPLESS = 2
-EXIT_NOT_CONVERGED = 3
-EXIT_STEP_TOO_LARGE = 4
-EXIT_SCRIPT = 5
-EXIT_LINK_OFF = 6
-
-
 class ConfigError(ValueError):
     pass
 
 
-_SCHEMAS = {
-    "chern": {
-        "gap": float, "mu": float, "chi": int, "k_max": float, "n_grid": int,
-        "method": str, "output_path": str,
-    },
-    "beat": {
-        "e0": float, "delta": float, "epsilon": float, "t_max": float, "dt": float,
-        "output_path": str,
-    },
-    "damp": {
-        "e0": float, "delta": float, "epsilon": float, "gamma": float,
-        "t_max": float, "dt": float, "output_path": str,
-    },
-    "rabi": {
-        "e0": float, "delta": float, "epsilon": float, "amp": float, "omega": float,
-        "t_max": float, "dt": float, "output_path": str,
-    },
-    "chain": {
-        "script_path": str, "seed": int, "shots": int, "epsilon": float, "dt": float,
-        "output_path": str,
-    },
-    "device": {
-        "h_gauss": float, "gap_ev": float, "mass_ratio": float, "cell_volume_a3": float,
-        "lambda_l_a": float, "film_thickness_a": float, "output_path": str,
-    },
-}
+# exception types -> exit code (see above), most specific first: GaplessTexture,
+# StepTooLarge, ScriptError and ConfigError are all ValueErrors
+_EXIT_CODES = (
+    ((GaplessTexture,), 2),
+    ((NotConverged, MethodDisagreement), 3),
+    ((StepTooLarge,), 4),
+    ((ScriptError,), 5),
+    ((LinkOff,), 6),
+    ((ValueError, OSError), 1),
+)
+_MAPPED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
-_DEFAULTS = {
-    "chern": {"gap": 1.0, "mu": 1.0, "chi": 1, "k_max": None, "n_grid": None, "method": "both"},
-    "beat": {"e0": 0.0, "delta": 0.5, "epsilon": 0.0, "t_max": 20.0, "dt": 0.01},
-    "damp": {"e0": 0.0, "delta": 0.5, "epsilon": 0.0, "gamma": 0.1, "t_max": 20.0, "dt": 0.01},
-    "rabi": {"e0": 0.0, "delta": 0.0, "epsilon": 1.0, "amp": 0.05, "omega": 2.0,
-             "t_max": 20.0, "dt": 0.005},
-    "chain": {"script_path": None, "seed": 0, "shots": 1, "epsilon": 1.0, "dt": 0.01},
-    "device": {"h_gauss": 1.0, "gap_ev": 5.0e-4, "mass_ratio": 4.0, "cell_volume_a3": 100.0,
-               "lambda_l_a": 2000.0, "film_thickness_a": 100.0},
+# subcommand -> config key -> (type, default); every subcommand also takes output_path
+_SCHEMAS = {
+    "chern": {"gap": (float, 1.0), "mu": (float, 1.0), "chi": (int, 1), "k_max": (float, None),
+              "n_grid": (int, None), "method": (str, "both")},
+    "beat": {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
+             "t_max": (float, 20.0), "dt": (float, 0.01)},
+    "damp": {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
+             "gamma": (float, 0.1), "t_max": (float, 20.0), "dt": (float, 0.01)},
+    "rabi": {"e0": (float, 0.0), "delta": (float, 0.0), "epsilon": (float, 1.0),
+             "amp": (float, 0.05), "omega": (float, 2.0), "t_max": (float, 20.0),
+             "dt": (float, 0.005)},
+    "chain": {"script_path": (str, None), "seed": (int, 0), "shots": (int, 1),
+              "epsilon": (float, 1.0), "dt": (float, 0.01)},
+    "device": {"h_gauss": (float, 1.0), "gap_ev": (float, 5.0e-4), "mass_ratio": (float, 4.0),
+               "cell_volume_a3": (float, 100.0), "lambda_l_a": (float, 2000.0),
+               "film_thickness_a": (float, 100.0)},
 }
 
 
@@ -105,13 +92,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(subcommand: str, raw: dict[str, str]) -> dict:
-    schema = _SCHEMAS[subcommand]
-    config = dict(_DEFAULTS[subcommand])
-    config.setdefault("output_path", None)
+    schema = {**_SCHEMAS[subcommand], "output_path": (str, None)}
+    config = {key: default for key, (_, default) in schema.items()}
     for key, token in raw.items():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for subcommand {subcommand!r}")
-        kind = schema[key]
+        kind = schema[key][0]
         if kind is float:
             try:
                 value = float(token)
@@ -139,6 +125,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _rows(header: str, *columns) -> list[str]:
+    """CSV lines: the header, then one row per index across the columns."""
+    values = [np.asarray(column).tolist() for column in columns]
+    return [header] + [",".join(map(_fmt, row)) for row in zip(*values)]
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
     payload = "\n".join(lines) + "\n"
     if out_path is None:
@@ -157,12 +149,10 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def _sample_count(t_max: float, dt: float) -> int:
-    if not (t_max >= 0.0 and dt > 0.0):
-        raise ConfigError(f"need t_max >= 0 and dt > 0, got t_max={t_max}, dt={dt}")
-    count = t_max / dt
-    if not math.isfinite(count):
-        raise ConfigError(f"t_max / dt overflows, got t_max={t_max}, dt={dt}")
-    return max(0, int(round(count)))
+    try:
+        return dynamics._n_steps(t_max, dt)
+    except ValueError as exc:
+        raise ConfigError(f"t_max / dt: {exc}") from None
 
 
 def _chern_row(result: chirality.ChernResult) -> str:
@@ -192,16 +182,15 @@ def run_chern(config: dict) -> list[str]:
 
 
 def _closed_rows(params: TwoLevelParams, t_max: float, dt: float) -> list[str]:
-    n = _sample_count(t_max, dt)
-    lines = ["t,p_diff,pop_plus,pop_minus"]
-    initial = QubitState.plus()
-    for i in range(n + 1):
-        t = i * dt
-        state = dynamics.evolve_closed(initial, params, t)
-        p_plus = abs(state.amp_plus) ** 2
-        p_minus = abs(state.amp_minus) ** 2
-        lines.append(",".join([_fmt(t), _fmt(p_plus - p_minus), _fmt(p_plus), _fmt(p_minus)]))
-    return lines
+    times = np.arange(_sample_count(t_max, dt) + 1) * dt
+    # column |+1> of the exact propagator at every sample time
+    amps = dynamics._propagator(params.e0, -params.delta, params.epsilon, times)[:, :, 1]
+    return _population_rows(times, amps)
+
+
+def _population_rows(times: np.ndarray, amps: np.ndarray) -> list[str]:
+    p_plus, p_minus = np.abs(amps[:, 1]) ** 2, np.abs(amps[:, 0]) ** 2
+    return _rows("t,p_diff,pop_plus,pop_minus", times, p_plus - p_minus, p_plus, p_minus)
 
 
 def run_beat(config: dict) -> list[str]:
@@ -217,15 +206,10 @@ def run_damp(config: dict) -> list[str]:
     _sample_count(config["t_max"], config["dt"])
     rho0 = DensityMatrix.from_state(QubitState.plus())
     times, rhos = dynamics.evolve_damped(rho0, params, config["t_max"], config["dt"])
-    lines = ["t,p_diff,pop_plus,pop_minus,purity"]
+    p_plus, p_minus = rhos[:, 1, 1].real, rhos[:, 0, 0].real
     purity = np.einsum("tij,tji->t", rhos, rhos).real
-    for k in range(len(times)):
-        p_plus = rhos[k, 1, 1].real
-        p_minus = rhos[k, 0, 0].real
-        lines.append(",".join([
-            _fmt(times[k]), _fmt(p_plus - p_minus), _fmt(p_plus), _fmt(p_minus), _fmt(purity[k]),
-        ]))
-    return lines
+    columns = (times, p_plus - p_minus, p_plus, p_minus, purity)
+    return _rows("t,p_diff,pop_plus,pop_minus,purity", *columns)
 
 
 def run_rabi(config: dict) -> list[str]:
@@ -239,12 +223,7 @@ def run_rabi(config: dict) -> list[str]:
         closed = TwoLevelParams(e0=params.e0, delta=params.delta, epsilon=params.epsilon)
         return _closed_rows(closed, config["t_max"], config["dt"])
     times, amps = dynamics.drive_evolve(QubitState.plus(), params, config["t_max"], config["dt"])
-    lines = ["t,p_diff,pop_plus,pop_minus"]
-    for k in range(len(times)):
-        p_plus = abs(amps[k, 1]) ** 2
-        p_minus = abs(amps[k, 0]) ** 2
-        lines.append(",".join([_fmt(times[k]), _fmt(p_plus - p_minus), _fmt(p_plus), _fmt(p_minus)]))
-    return lines
+    return _population_rows(times, amps)
 
 
 def _basis_label(index: int, n: int) -> str:
@@ -352,25 +331,10 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         lines = _RUNNERS[args.subcommand](config)
         _emit(lines, args.out if args.out is not None else config.get("output_path"))
-    except GaplessTexture as exc:
+    except _MAPPED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GAPLESS
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except StepTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STEP_TOO_LARGE
-    except ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCRIPT
-    except LinkOff as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LINK_OFF
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    return 0
 
 
 if __name__ == "__main__":

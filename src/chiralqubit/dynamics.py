@@ -9,8 +9,11 @@ The qubit Hamiltonian is
 with delta the tunneling amplitude between the two chiral states and epsilon
 the tuning bias that lifts their degeneracy.  Environment coupling is reduced
 to a single pure-dephasing rate gamma (jump operator sigma_z); the rate damps
-the beating but does not shift delta.  All evolutions use exact 2x2 matrix
-exponentials per step, so norm and trace are preserved unconditionally.
+the beating but does not shift delta.  Every evolution is built from one
+exact 2x2 exponential, `_propagator`, evaluated on arrays of steps or times,
+so norm and trace are preserved unconditionally.  Driven steps are composed
+by a log-depth prefix product, damped steps by doubling powers of one Strang
+superoperator; no path loops in Python per step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 STEP_SAFETY_LIMIT = 0.1
+MAX_STEPS = 10**6  # cap on the steps (or samples) of one trajectory
 
 
 class StepTooLarge(ValueError):
@@ -133,15 +137,19 @@ def hamiltonian(params: TwoLevelParams) -> np.ndarray:
     return params.e0 * IDENTITY - params.delta * SIGMA_X + params.epsilon * SIGMA_Z
 
 
-def _propagator(e0: float, x: float, z: float, t: float) -> np.ndarray:
-    """exp(-i t (e0*I + x*sigma_x + z*sigma_z)), exact."""
-    omega = math.hypot(x, z)
-    phase = complex(math.cos(e0 * t), -math.sin(e0 * t))
-    if omega == 0.0:
-        return phase * IDENTITY
-    # divide the reals before forming the matrix: stable down to subnormal omega
-    axis = (x / omega) * SIGMA_X + (z / omega) * SIGMA_Z
-    return phase * (math.cos(omega * t) * IDENTITY - 1j * math.sin(omega * t) * axis)
+def _propagator(e0, x, z, t) -> np.ndarray:
+    """exp(-i t (e0*I + x*sigma_x + z*sigma_z)), exact; broadcasts to shape (..., 2, 2)."""
+    e0, x, z, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (e0, x, z, t)))
+    omega = np.hypot(x, z)
+    # divide the reals before forming the matrix: stable down to subnormal omega,
+    # and omega = 0 gives the identity without a branch
+    safe = np.where(omega == 0.0, 1.0, omega)
+    cos, sin = np.cos(omega * t), np.sin(omega * t)
+    u = np.empty(omega.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = cos + 1j * sin * (z / safe)
+    u[..., 1, 1] = cos - 1j * sin * (z / safe)
+    u[..., 0, 1] = u[..., 1, 0] = -1j * sin * (x / safe)
+    return np.exp(-1j * e0 * t)[..., None, None] * u
 
 
 def eigensystem(params: TwoLevelParams) -> tuple[tuple[float, QubitState], tuple[float, QubitState]]:
@@ -193,11 +201,8 @@ def beat_probability(params: TwoLevelParams, t):
     """
     _require_closed(params)
     omega = math.hypot(params.delta, params.epsilon)
-    t = np.asarray(t, dtype=float)
-    if omega == 0.0:
-        out = np.ones_like(t)
-    else:
-        out = 1.0 - 2.0 * (params.delta / omega) ** 2 * np.sin(omega * t) ** 2
+    ratio = params.delta / omega if omega else 0.0
+    out = 1.0 - 2.0 * ratio**2 * np.sin(omega * np.asarray(t, dtype=float)) ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -211,9 +216,12 @@ def _check_step(dt: float, scale: float) -> None:
 
 
 def _n_steps(t: float, dt: float) -> int:
-    if t < 0.0:
-        raise ValueError(f"duration must be >= 0, got {t}")
-    return max(0, int(round(t / dt)))
+    """round(t / dt) steps, at most MAX_STEPS so that the step arrays fit in memory."""
+    if not (t >= 0.0 and dt > 0.0 and t / dt <= MAX_STEPS):
+        raise ValueError(
+            f"need a duration >= 0, dt > 0 and at most {MAX_STEPS} steps (the cap), got {t} / {dt}"
+        )
+    return int(round(t / dt))
 
 
 def evolve_damped(
@@ -229,6 +237,9 @@ def evolve_damped(
     preserving and completely positive, so the trajectory stays physical at
     every step.  Returns (times, rhos) with rhos of shape (n_samples, 2, 2),
     sampled every dt from the initial matrix onward.
+
+    The step is one 4x4 superoperator S on row-major vec(rho); the samples are
+    filled by doubling, out[m:2m] = out[:m] @ (S^m).T, forming log2(n) powers.
     """
     if params.drive_amp != 0.0:
         raise ValueError("driven-damped evolution is not supported; set drive_amp = 0")
@@ -237,41 +248,53 @@ def evolve_damped(
     n = _n_steps(t, dt)
 
     u = _propagator(params.e0, -params.delta, params.epsilon, dt)
-    u_dag = u.conj().T
     half_decay = math.exp(-params.gamma * dt)  # dephasing channel over dt/2
+    half = np.array([1.0, half_decay, half_decay, 1.0])
+    # Strang step on row-major vec(rho): vec(u rho u^dagger) = kron(u, u*) vec(rho)
+    power = half[:, None] * np.kron(u, u.conj()) * half
 
-    out = np.empty((n + 1, 2, 2), dtype=complex)
-    current = np.array(rho.rho, dtype=complex)
-    out[0] = current
-    for k in range(1, n + 1):
-        current = current.copy()
-        current[0, 1] *= half_decay
-        current[1, 0] *= half_decay
-        current = u @ current @ u_dag
-        current[0, 1] *= half_decay
-        current[1, 0] *= half_decay
-        out[k] = current
-    return np.arange(n + 1) * dt, out
+    out = np.empty((n + 1, 4), dtype=complex)
+    out[0] = rho.rho.reshape(4)
+    m = 1
+    while m <= n:
+        k = min(m, n + 1 - m)
+        out[m:m + k] = out[:k] @ power.T
+        power = power @ power
+        m += k
+    return np.arange(n + 1) * dt, out.reshape(n + 1, 2, 2)
 
 
-def drive_propagator(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:
-    """Accumulated unitary for the RF-driven qubit over [0, t].
+def _drive_steps(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:
+    """Step unitaries of the RF-driven qubit over [0, t], shape (n_steps, 2, 2).
 
     The Hamiltonian e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) -
     delta)*sigma_x is frozen at each step midpoint and exponentiated exactly,
-    so the result is unitary to rounding regardless of dt; dt still bounds
+    so every step is unitary to rounding regardless of dt; dt still bounds
     the midpoint-rule accuracy via the StepTooLarge check.
     """
     _require_closed(params, allow_drive=True)
-    bound = abs(params.e0) + math.hypot(params.epsilon, params.delta + params.drive_amp)
-    _check_step(dt, bound)
-    n = _n_steps(t, dt)
-    u = IDENTITY.copy()
-    for k in range(n):
-        mid = (k + 0.5) * dt
-        x = -params.delta + params.drive_amp * math.cos(params.drive_freq * mid)
-        u = _propagator(params.e0, x, params.epsilon, dt) @ u
-    return u
+    _check_step(dt, abs(params.e0) + math.hypot(params.epsilon, params.delta + params.drive_amp))
+    mid = (np.arange(_n_steps(t, dt)) + 0.5) * dt
+    x = -params.delta + params.drive_amp * np.cos(params.drive_freq * mid)
+    return _propagator(params.e0, x, params.epsilon, dt)
+
+
+def _running_products(steps: np.ndarray) -> np.ndarray:
+    """steps[k] @ ... @ steps[0] for every k, in place, by a log-depth prefix product.
+
+    After the pass with offset `off`, entry k holds the product of up to 2*off steps.
+    """
+    off = 1
+    while off < len(steps):
+        steps[off:] = steps[off:] @ steps[:-off]
+        off *= 2
+    return steps
+
+
+def drive_propagator(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:
+    """Accumulated unitary for the RF-driven qubit over [0, t] (see _drive_steps)."""
+    products = _running_products(_drive_steps(params, t, dt))
+    return products[-1] if len(products) else IDENTITY.copy()
 
 
 def drive_evolve(
@@ -283,16 +306,6 @@ def drive_evolve(
     resonance drive_freq = 2*sqrt(delta^2 + epsilon^2) and weak drive the
     populations Rabi-cycle with angular rate drive_amp.
     """
-    _require_closed(params, allow_drive=True)
-    bound = abs(params.e0) + math.hypot(params.epsilon, params.delta + params.drive_amp)
-    _check_step(dt, bound)
-    n = _n_steps(t, dt)
-    out = np.empty((n + 1, 2), dtype=complex)
     psi = state.vector
-    out[0] = psi
-    for k in range(n):
-        mid = (k + 0.5) * dt
-        x = -params.delta + params.drive_amp * math.cos(params.drive_freq * mid)
-        psi = _propagator(params.e0, x, params.epsilon, dt) @ psi
-        out[k + 1] = psi
-    return np.arange(n + 1) * dt, out
+    out = np.concatenate([psi[None], _running_products(_drive_steps(params, t, dt)) @ psi])
+    return np.arange(len(out)) * dt, out

@@ -273,6 +273,17 @@ def selective_rf_pulse(
         raise InsufficientGradient(
             f"minimum bias separation {gap:g} is below 5*amp = {5.0 * amp:g}"
         )
+    # the largest bias sets the step bound; name it and the dt that would pass
+    worst = max(range(state.n), key=lambda q: abs(eps[q]))
+    bound = math.hypot(eps[worst], amp)
+    if dt * bound >= dynamics.STEP_SAFETY_LIMIT:
+        raise dynamics.StepTooLarge(  # 2-digit rounding adds < 5%, so 0.95 * limit passes
+            f"RF step dt = {dt:g} is too large for qubit {worst} (bias {eps[worst]:g}): "
+            f"dt * max(|H|, gamma) = {dt * bound:.6g} must stay below "
+            f"{dynamics.STEP_SAFETY_LIMIT}; "
+            f"lower dt to {0.95 * dynamics.STEP_SAFETY_LIMIT / bound:.2g} or less, "
+            "or lower epsilon in the chain config"
+        )
     omega = 2.0 * abs(profile.eps[target])
     amps = state.amps
     for q in range(state.n):

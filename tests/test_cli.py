@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chiralqubit import cli
 from chiralqubit.cli import main
 
 SWAP_SCRIPT = """\
@@ -79,6 +80,13 @@ class TestChern:
         assert main(["chern", "--config", config]) == 1
         assert "1024" in capsys.readouterr().err
 
+    def test_method_disagreement_exit_code(self, tmp_path, capsys):
+        # the quadrature misses the narrow gap at n_grid = 128 while the plaquette sum does not
+        config = write(tmp_path / "c.cfg", "gap = 0.001\nmu = 100\nchi = 1\nk_max = 80\n")
+        assert main(["chern", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "plaquette reports" in err
+
 
 class TestBeatDampRabi:
     def test_beat_half_period_row(self, tmp_path):
@@ -130,10 +138,12 @@ class TestBeatDampRabi:
 
     @pytest.mark.parametrize("subcommand", ["beat", "damp", "rabi"])
     def test_overflowing_sample_count_is_config_error(self, tmp_path, capsys, subcommand):
-        config = write(tmp_path / "c.cfg", "t_max = 1e9\ndt = 1e-300\n")
-        assert main([subcommand, "--config", config]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "t_max / dt" in err
+        # 1e309 rows overflow to inf; 1e12 rows are finite but far above the cap
+        for dt in ("1e-300", "1e-3"):
+            config = write(tmp_path / "c.cfg", f"t_max = 1e9\ndt = {dt}\n")
+            assert main([subcommand, "--config", config]) == 1, dt
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "t_max / dt" in err, dt
 
 
 class TestChain:
@@ -174,6 +184,23 @@ class TestChain:
         config = write(tmp_path / "c.cfg", f"script_path = {script}\nshots = 100\n")
         assert main(["chain", "--config", config]) == 5
         assert "line 2" in capsys.readouterr().err
+
+    def test_rf_step_too_large_names_the_fix(self, tmp_path, capsys):
+        # ten qubits: the bias of qubit 9 is 10 * epsilon, so the default dt = 0.01 is too large
+        script = write(tmp_path / "rf.gates", "RF 9 0.05 1.0\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
+        assert main(["chain", "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert "dt" in err and "qubit 9" in err and "epsilon" in err
+        suggested = err.split("lower dt to ")[1].split()[0]
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\ndt = {suggested}\n")
+        assert main(["chain", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    def test_rf_duration_above_step_cap_is_script_error(self, tmp_path, capsys):
+        script = write(tmp_path / "rf.gates", "RF 0 0.05 1e5\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\ndt = 0.05\n")
+        assert main(["chain", "--config", config]) == 5
+        assert "cap" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         script = write(
@@ -232,6 +259,14 @@ class TestConfigParsing:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["chern", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_unmapped_exception_propagates(self, monkeypatch):
+        def broken(config):
+            raise RuntimeError("not an input error")
+
+        monkeypatch.setitem(cli._RUNNERS, "device", broken)
+        with pytest.raises(RuntimeError, match="not an input error"):
+            main(["device"])
 
     def test_comments_allowed(self, tmp_path):
         config = write(tmp_path / "c.cfg", "# full line\nmu = 1.0  # tail\n")

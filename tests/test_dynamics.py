@@ -6,17 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralqubit.dynamics import (
+    MAX_STEPS,
+    SIGMA_X,
+    SIGMA_Z,
     DensityMatrix,
     QubitState,
     StepTooLarge,
     TwoLevelParams,
+    _n_steps,
+    _propagator,
     beat_probability,
     drive_evolve,
+    drive_propagator,
     eigensystem,
     evolve_closed,
     evolve_damped,
     hamiltonian,
 )
+
+try:
+    from scipy.linalg import expm
+except ImportError:  # scipy is a test extra
+    expm = None
+
+needs_scipy = pytest.mark.skipif(expm is None, reason="needs scipy for the expm reference")
 
 
 def p_diff(rhos):
@@ -279,3 +292,145 @@ class TestDrivenEvolution:
         params = TwoLevelParams(epsilon=1.0, gamma=0.1, drive_amp=0.05, drive_freq=2.0)
         with pytest.raises(ValueError):
             drive_evolve(QubitState.minus(), params, 1.0, 0.01)
+
+
+def bounded_dt(scale: float, fraction: float) -> float:
+    """A step dt with dt * scale = fraction * 0.1, inside the StepTooLarge bound."""
+    return fraction * 0.1 / max(scale, 1.0)
+
+
+def pure_state(theta: float, phi: float) -> QubitState:
+    return QubitState(math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta))
+
+
+def midpoint_reference(params: TwoLevelParams, dt: float, n: int) -> list[np.ndarray]:
+    """Running products of the midpoint expm steps, multiplied one step at a time."""
+    products, u = [np.eye(2, dtype=complex)], np.eye(2, dtype=complex)
+    for k in range(n):
+        drive = params.drive_amp * math.cos(params.drive_freq * (k + 0.5) * dt)
+        u = expm(-1j * dt * (hamiltonian(params) + drive * SIGMA_X)) @ u
+        products.append(u)
+    return products
+
+
+def strang_reference(params: TwoLevelParams, dt: float) -> np.ndarray:
+    """Strang step on row-major vec(rho), each factor the expm of its Liouvillian."""
+    h, eye = hamiltonian(params), np.eye(2)
+    coherent = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    dephasing = params.gamma * (np.kron(SIGMA_Z, SIGMA_Z.T) - np.eye(4))
+    half = expm(0.5 * dt * dephasing)
+    return half @ expm(dt * coherent) @ half
+
+
+params_strategy = st.builds(
+    TwoLevelParams,
+    e0=st.floats(-2.0, 2.0),
+    delta=st.floats(0.0, 2.0),
+    epsilon=st.floats(-2.0, 2.0),
+    drive_amp=st.floats(0.0, 1.5),
+    drive_freq=st.floats(0.0, 4.0),
+)
+
+
+@needs_scipy
+class TestAgainstExpm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        e0=st.floats(-3.0, 3.0),
+        x=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4),
+        z=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=3),
+        t=st.floats(0.0, 10.0),
+    )
+    def test_propagator_broadcasts(self, e0, x, z, t):
+        x_col, z_row = np.array(x)[:, None], np.array(z)[None, :]
+        u = _propagator(e0, x_col, z_row, t)
+        assert u.shape == (len(x), len(z), 2, 2)
+        h = e0 * np.eye(2) + x_col[..., None, None] * SIGMA_X + z_row[..., None, None] * SIGMA_Z
+        assert np.abs(u - expm(-1j * t * h)).max() < 1e-10
+        scalar = _propagator(e0, x[-1], z[-1], t)
+        assert scalar.shape == (2, 2)
+        assert np.abs(scalar - u[-1, -1]).max() < 1e-15
+
+    def test_propagator_zero_field_is_phase(self):
+        u = _propagator(0.7, [0.0, 0.0], 0.0, [0.0, 2.5])
+        assert np.array_equal(u[0], np.eye(2))
+        assert np.abs(u[1] - np.exp(-1.75j) * np.eye(2)).max() < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=params_strategy,
+        n=st.integers(0, 70),
+        fraction=st.floats(0.05, 0.95),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_driven_matches_time_ordered_product(self, params, n, fraction, theta, phi):
+        scale = abs(params.e0) + math.hypot(params.epsilon, params.delta + params.drive_amp)
+        dt = bounded_dt(scale, fraction)
+        state = pure_state(theta, phi)
+        reference = midpoint_reference(params, dt, n)
+        times, amps = drive_evolve(state, params, n * dt, dt)
+        assert amps.shape == (n + 1, 2) and np.array_equal(times, np.arange(n + 1) * dt)
+        want = np.array([u @ state.vector for u in reference])
+        assert np.abs(amps - want).max() < 1e-10
+        propagator = drive_propagator(params, n * dt, dt)
+        assert np.abs(propagator - reference[-1]).max() < 1e-10
+        # the propagator is the map that takes the state to the last sample
+        assert np.abs(propagator @ state.vector - amps[-1]).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=params_strategy.map(
+            lambda p: TwoLevelParams(e0=p.e0, delta=p.delta, epsilon=p.epsilon, gamma=p.drive_amp)
+        ),
+        n=st.integers(0, 200),
+        fraction=st.floats(0.05, 0.95),
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_damped_matches_strang_power(self, params, n, fraction, theta, phi):
+        scale = max(abs(params.e0) + math.hypot(params.delta, params.epsilon), params.gamma)
+        dt = bounded_dt(scale, fraction)
+        rho0 = DensityMatrix.from_state(pure_state(theta, phi))
+        times, rhos = evolve_damped(rho0, params, n * dt, dt)
+        assert rhos.shape == (n + 1, 2, 2) and np.array_equal(times, np.arange(n + 1) * dt)
+        step = strang_reference(params, dt)
+        for k in sorted({0, min(1, n), n // 3, n // 2, max(n - 1, 0), n}):
+            want = np.linalg.matrix_power(step, k) @ rho0.rho.reshape(4)
+            assert np.abs(rhos[k].reshape(4) - want).max() < 1e-10
+
+    def test_damped_long_horizon(self):
+        # 1e5 steps: the doubled trajectory stays on the step-by-step product
+        params = TwoLevelParams(e0=0.2, delta=0.5, epsilon=0.3, gamma=0.01)
+        dt = 0.01
+        rho0 = DensityMatrix.from_state(QubitState.plus())
+        _, rhos = evolve_damped(rho0, params, 1000.0, dt)
+        step = strang_reference(params, dt)
+        vec = rho0.rho.reshape(4)
+        worst = 0.0
+        for k in range(1, len(rhos)):
+            vec = step @ vec
+            if k % 997 == 0 or k == len(rhos) - 1:
+                worst = max(worst, np.abs(rhos[k].reshape(4) - vec).max())
+        assert worst < 1e-10
+
+    def test_driven_long_horizon(self):
+        params = TwoLevelParams(delta=0.1, epsilon=1.0, drive_amp=0.05, drive_freq=2.0)
+        dt = 0.005
+        reference = midpoint_reference(params, dt, 10_000)
+        _, amps = drive_evolve(QubitState.minus(), params, 50.0, dt)
+        assert np.abs(amps - np.array([u[:, 0] for u in reference])).max() < 1e-10
+
+
+class TestStepCount:
+    def test_rounds_to_nearest(self):
+        assert _n_steps(1.0, 0.3) == 3
+        assert _n_steps(0.0, 0.1) == 0
+
+    @pytest.mark.parametrize("t, dt", [(-1.0, 0.1), (1.0, 0.0), (1e9, 1e-300), (1e9, 1e-3)])
+    def test_rejects_negative_infinite_and_capped_counts(self, t, dt):
+        with pytest.raises(ValueError):
+            _n_steps(t, dt)
+
+    def test_cap_is_inclusive(self):
+        assert _n_steps(MAX_STEPS * 0.01, 0.01) == MAX_STEPS
