@@ -25,6 +25,10 @@ signed triangle areas an exact multiple of 4pi up to float rounding, so its
 residual reflects numerical noise only.  The failure mode of a too-coarse
 plaquette mesh is a silently wrong integer, which is why cross_validate runs
 both methods and insists they agree.
+
+Layout: a vector field is a triple of (n, n) component arrays (m_x, m_y, m_z)
+from kspace.texture_field, with dot and triple products written out on them.  The
+plaquette computes its six corner dot products once, for the antipodal guard and both triangles.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .kspace import GapParams, texture_field
 
 RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
-_POLE = np.array([0.0, 0.0, 1.0])
+_POLE = (0.0, 0.0, 1.0)
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
@@ -117,38 +121,37 @@ def _mesh(k_max: float, n_grid: int) -> tuple[np.ndarray, float]:
     return -k_max + (np.arange(n_grid) + 0.5) * h, h
 
 
-def _unit_grid(params: GapParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    kx, ky = np.meshgrid(x, x, indexing="ij")
-    m = texture_field(kx, ky, params)
-    norm = np.linalg.norm(m, axis=-1, keepdims=True)
-    return m / norm, m, norm
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Signed solid angle of the spherical triangle (a, b, c), vectorized."""
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", a, b)
-        + np.einsum("...i,...i->...", b, c)
-        + np.einsum("...i,...i->...", a, c)
-    )
-    return 2.0 * np.arctan2(num, den)
+def _triple(a, b, c):
+    """a . (b x c) on component triples."""
+    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
+    return _dot(a, cross)
 
 
-def _boundary_loop(unit: np.ndarray) -> np.ndarray:
-    """Mesh boundary traversed counterclockwise in the (k_x, k_y) plane."""
-    return np.concatenate(
-        [unit[:-1, 0], unit[-1, :-1], unit[::-1, -1][:-1], unit[0, ::-1][:-1]], axis=0
-    )
+def _unit_grid(params: GapParams, x: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+    m = texture_field(x[:, None], x[None, :], params)
+    norm = np.sqrt(_dot(m, m))
+    return tuple(c / norm for c in m), m, norm
 
 
-def _cap_closure(unit: np.ndarray) -> float:
+def _solid_angle(a, b, c, ab, bc, ac) -> np.ndarray:
+    """Signed solid angle of the spherical triangle (a, b, c) from its corner dot products."""
+    return 2.0 * np.arctan2(_triple(a, b, c), 1.0 + ab + bc + ac)
+
+
+def _boundary_loop(u: np.ndarray) -> np.ndarray:
+    """Mesh boundary of one component, traversed counterclockwise in the (k_x, k_y) plane."""
+    return np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]])
+
+
+def _cap_closure(unit: tuple) -> float:
     """Solid angle of the cone closing the boundary loop onto the north pole."""
-    loop = _boundary_loop(unit)
-    nxt = np.roll(loop, -1, axis=0)
-    pole = np.broadcast_to(_POLE, loop.shape)
-    return float(_solid_angle(loop, pole, nxt).sum())
+    loop = tuple(_boundary_loop(u) for u in unit)
+    nxt = tuple(np.roll(v, -1) for v in loop)
+    return float(_solid_angle(loop, _POLE, nxt, loop[2], nxt[2], _dot(loop, nxt)).sum())
 
 
 def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) -> ChernResult:
@@ -168,13 +171,13 @@ def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResul
     x, h = _mesh(k_max, n_grid)
     unit, m, norm = _unit_grid(params, x)
 
-    dxm = np.gradient(m, h, axis=0, edge_order=2)
-    dym = np.gradient(m, h, axis=1, edge_order=2)
-    # d m_hat = (dm - m_hat (m_hat . dm)) / |m|
-    dxu = (dxm - unit * np.einsum("ijk,ijk->ij", unit, dxm)[..., None]) / norm
-    dyu = (dym - unit * np.einsum("ijk,ijk->ij", unit, dym)[..., None]) / norm
+    def d_unit(axis):
+        # d m_hat = (dm - m_hat (m_hat . dm)) / |m|
+        dm = [np.gradient(c, h, axis=axis, edge_order=2) for c in m]
+        along = _dot(unit, dm)
+        return tuple((d - u * along) / norm for u, d in zip(unit, dm))
 
-    integrand = np.einsum("ijk,ijk->ij", unit, np.cross(dxu, dyu))
+    integrand = _triple(unit, d_unit(0), d_unit(1))
     total = _trapezoid(_trapezoid(integrand, x, axis=1), x, axis=0)
     return _finish(total + _cap_closure(unit), n_grid, k_max, "quadrature")
 
@@ -185,20 +188,17 @@ def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult
     x, _ = _mesh(k_max, n_grid)
     unit, _, _ = _unit_grid(params, x)
 
-    a = unit[:-1, :-1]
-    b = unit[1:, :-1]
-    c = unit[1:, 1:]
-    d = unit[:-1, 1:]
-    worst = min(
-        np.einsum("...i,...i->...", p, q).min()
-        for p, q in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
-    )
-    if worst <= -1.0 + ANTIPODAL_TOL:
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
+    a, b, c, d = (tuple(u[i, j] for u in unit) for i, j in corners)
+    pairs = ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
+    ab, ac, ad, bc, bd, cd = (_dot(p, q) for p, q in pairs)
+    if min(dot.min() for dot in (ab, ac, ad, bc, bd, cd)) <= -1.0 + ANTIPODAL_TOL:
         raise DegeneratePlaquette(
             "two plaquette corners are antipodal within "
             f"{ANTIPODAL_TOL:g}; refine the grid"
         )
-    interior = _solid_angle(a, b, c).sum() + _solid_angle(a, c, d).sum()
+    interior = _solid_angle(a, b, c, ab, bc, ac).sum() + _solid_angle(a, c, d, ac, cd, ad).sum()
     return _finish(interior + _cap_closure(unit), n_grid, k_max, "plaquette")
 
 

@@ -20,6 +20,7 @@ script error (exit 5) from inside a chain script.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -126,9 +127,9 @@ def _fmt(value) -> str:
 
 
 def _rows(header: str, *columns) -> list[str]:
-    """CSV lines: the header, then one row per index across the columns."""
-    values = [np.asarray(column).tolist() for column in columns]
-    return [header] + [",".join(map(_fmt, row)) for row in zip(*values)]
+    """CSV lines: the header, then one row per index across the columns, as _fmt writes them."""
+    values = [np.asarray(column, dtype=float).tolist() for column in columns]
+    return [header] + [",".join(map(repr, row)) for row in zip(*values)]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -309,6 +310,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralqubit",

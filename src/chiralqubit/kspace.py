@@ -100,16 +100,14 @@ def d_z(k, params: GapParams) -> complex:
 
 
 def dispersion(k, params: GapParams) -> float:
-    """Band energy eps_k = k^2 - mu (units with 2m = 1)."""
-    kx, ky = k
-    return kx * kx + ky * ky - params.mu
+    """Band energy eps_k = k^2 - mu (units with 2m = 1), the m_z of the texture."""
+    return m_vector(k, params).mz
 
 
 def m_vector(k, params: GapParams) -> MVector:
     """Unnormalized texture vector at momentum k = (k_x, k_y)."""
     kx, ky = k
-    pref = params._inplane_prefactor()
-    return MVector(pref * kx, pref * params.chi * ky, kx * kx + ky * ky - params.mu)
+    return MVector(*map(float, texture_field(kx, ky, params)))
 
 
 def m_hat(k, params: GapParams) -> MVector:
@@ -117,21 +115,20 @@ def m_hat(k, params: GapParams) -> MVector:
     return m_vector(k, params).normalized()
 
 
-def texture_field(kx, ky, params: GapParams) -> np.ndarray:
-    """Unnormalized texture vectors on momentum arrays, shape kx.shape + (3,)."""
+def texture_field(kx, ky, params: GapParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalized texture components (m_x, m_y, m_z), each of the broadcast shape of kx, ky."""
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     pref = params._inplane_prefactor()
-    mx, my, mz = np.broadcast_arrays(
+    return tuple(np.broadcast_arrays(
         pref * kx, pref * params.chi * ky, kx * kx + ky * ky - params.mu
-    )
-    return np.stack([mx, my, mz], axis=-1)
+    ))
 
 
 def texture_grid(kx, ky, params: GapParams) -> np.ndarray:
-    """Unit texture vectors on momentum arrays; raises ZeroTexture on a zero."""
-    m = texture_field(kx, ky, params)
-    norm = np.linalg.norm(m, axis=-1, keepdims=True)
+    """Unit texture vectors, shape kx.shape + (3,); raises ZeroTexture on a zero."""
+    mx, my, mz = texture_field(kx, ky, params)
+    norm = np.sqrt(mx * mx + my * my + mz * mz)
     if not np.all(norm > 0.0):
         raise ZeroTexture("texture vanishes at a sampled momentum")
-    return m / norm
+    return np.stack([mx / norm, my / norm, mz / norm], axis=-1)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chiralqubit import chirality
 from chiralqubit.chirality import (
+    ANTIPODAL_TOL,
     DegeneratePlaquette,
     GaplessTexture,
     NotConverged,
@@ -12,7 +16,7 @@ from chiralqubit.chirality import (
     cross_validate,
     default_k_max,
 )
-from chiralqubit.kspace import GapParams
+from chiralqubit.kspace import GapParams, texture_field
 
 
 class TestQuadrature:
@@ -158,3 +162,88 @@ class TestCrossValidate:
     def test_start_grid_above_cap_rejected(self):
         with pytest.raises(ValueError, match="1024"):
             cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=2048)
+
+
+# Reference: the estimators on one stacked (n, n, 3) texture with np.cross and
+# einsum, as they were before the kernels moved to component arrays.
+def _reference_solid_angle(a, b, c):
+    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    den = (
+        1.0
+        + np.einsum("...i,...i->...", a, b)
+        + np.einsum("...i,...i->...", b, c)
+        + np.einsum("...i,...i->...", a, c)
+    )
+    return 2.0 * np.arctan2(num, den)
+
+
+def reference_raw(method, params, k_max, n_grid):
+    """Raw value of one estimator, and the smallest corner dot product of the mesh."""
+    x, h = chirality._mesh(k_max, n_grid)
+    kx, ky = np.meshgrid(x, x, indexing="ij")
+    m = np.stack(texture_field(kx, ky, params), axis=-1)
+    norm = np.linalg.norm(m, axis=-1, keepdims=True)
+    unit = m / norm
+
+    a, b, c, d = unit[:-1, :-1], unit[1:, :-1], unit[1:, 1:], unit[:-1, 1:]
+    worst = min(
+        np.einsum("...i,...i->...", p, q).min()
+        for p, q in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
+    )
+    if method == "quadrature":
+        dxm = np.gradient(m, h, axis=0, edge_order=2)
+        dym = np.gradient(m, h, axis=1, edge_order=2)
+        dxu = (dxm - unit * np.einsum("ijk,ijk->ij", unit, dxm)[..., None]) / norm
+        dyu = (dym - unit * np.einsum("ijk,ijk->ij", unit, dym)[..., None]) / norm
+        integrand = np.einsum("ijk,ijk->ij", unit, np.cross(dxu, dyu))
+        total = chirality._trapezoid(chirality._trapezoid(integrand, x, axis=1), x, axis=0)
+    else:
+        total = _reference_solid_angle(a, b, c).sum() + _reference_solid_angle(a, c, d).sum()
+
+    loop = np.concatenate(
+        [unit[:-1, 0], unit[-1, :-1], unit[::-1, -1][:-1], unit[0, ::-1][:-1]], axis=0
+    )
+    pole = np.broadcast_to([0.0, 0.0, 1.0], loop.shape)
+    total += _reference_solid_angle(loop, pole, np.roll(loop, -1, axis=0)).sum()
+    return -total / (4.0 * math.pi), worst
+
+
+class TestComponentKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delta=st.floats(0.01, 5.0),
+        mu=st.floats(-50.0, 50.0).filter(lambda mu: abs(mu) >= 0.01),
+        chi=st.sampled_from([+1, -1]),
+        stretch=st.floats(1.01, 4.0),
+        n_grid=st.sampled_from([32, 64, 128]),
+    )
+    def test_raw_matches_stacked_reference(self, delta, mu, chi, stretch, n_grid):
+        params = GapParams(delta, mu, chi)
+        k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
+        for method, estimator in (("quadrature", chern_quadrature), ("plaquette", chern_plaquette)):
+            expected, worst = reference_raw(method, params, k_max, n_grid)
+            if method == "plaquette" and worst <= -1.0 + ANTIPODAL_TOL:
+                with pytest.raises(DegeneratePlaquette):
+                    estimator(params, k_max, n_grid)
+                continue
+            try:
+                raw = estimator(params, k_max, n_grid).raw
+            except NotConverged as exc:
+                raw = exc.result.raw
+            tol = 1e-12
+            if method == "plaquette":
+                # corners near antipodal (a.b -> -1) make arctan2 ill-conditioned:
+                # last-bit differences in the dot products grow like 1 / (1 + a.b)
+                # (measured at most 4e-17 / (1 + a.b))
+                tol *= max(1.0, 1e-3 / (1.0 + worst))
+            assert abs(raw - expected) <= tol, (method, raw, expected, worst)
+
+    @pytest.mark.parametrize("mu, first_grid", [(3.0, 128), (40.0, 256), (150.0, 512)])
+    @pytest.mark.parametrize("n_grid_start", [128, 256, 512])
+    def test_cross_validate_converges(self, mu, first_grid, n_grid_start):
+        # automatic k_max: the escalation stops at the same grid as the stacked kernels did
+        for chi in (+1, -1):
+            report = cross_validate(GapParams(0.3, mu, chi), n_grid_start=n_grid_start)
+            assert report.n_integer == report.quadrature.n_integer == chi
+            assert report.quadrature.grid_size == max(n_grid_start, first_grid)
+            assert report.plaquette.grid_size == report.quadrature.grid_size

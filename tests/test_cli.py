@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chiralqubit import cli
@@ -294,6 +295,48 @@ class TestOutputContract:
         assert main(["beat", "--config", config]) == 0
         assert target.exists()
         assert target.read_text().startswith("t,p_diff")
+
+    def test_row_writer_matches_per_value_repr(self):
+        columns = (
+            np.array([-0.0, 1e-300, 1e16, 3.0, 0.1 + 0.2]),
+            np.array([0, -7, 2**53 + 1, 5, 12]),
+            [1e-300, -0.0, 2.0, 1e16, -1e308],
+        )
+        expected = ["h"] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+        assert cli._rows("h", *columns) == expected
+
+
+class TestParserReuse:
+    # the parser is built once per process; a reused parser must answer like a fresh one
+    CALLS = (
+        ["device"],
+        ["beat", "--seed", "4"],
+        ["chern"],
+        ["bogus"],
+        ["device"],
+        ["device", "--seed", "x"],
+        ["beat"],
+    )
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_matches_fresh_calls(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv))
+        cli._build_parser.cache_clear()
+        reused = [self.call(capsys, argv) for argv in self.CALLS]
+        assert cli._build_parser.cache_info().hits == len(self.CALLS) - 1
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 2, 0]
 
 
 class TestDeterminism:
