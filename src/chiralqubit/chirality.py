@@ -9,11 +9,14 @@ with the plane orientation fixed so that chi = +1 with mu > 0 gives N = +1.
 
 Two estimators are provided and must agree:
 
-* chern_quadrature: finite-difference derivatives of the texture summed with
-  the trapezoid rule.  Derivatives are evaluated by central differencing of
-  the unnormalized field followed by the exact unit-normalization chain rule;
-  differencing the normalized vectors directly loses two to three digits and
-  fails the convergence bound on grids where this form is already exact.
+* chern_quadrature: finite-difference derivatives of the unnormalized texture
+  summed with the trapezoid rule.  The texture is separable (m_x varies with
+  k_x only, m_y with k_y only, m_z = k_x^2 + k_y^2 - mu), so the derivatives
+  are 1-D central differences along single mesh lines, and the integrand is
+  m . (dm/dk_x x dm/dk_y) / |m|^3, which equals the m_hat form exactly: the
+  parts of d m_hat along m_hat drop out of the triple product.  Differencing
+  the normalized vectors directly loses two to three digits and fails the
+  convergence bound on grids where this form is already exact.
 * chern_plaquette: the discrete degree.  Each mesh cell contributes the
   signed solid angle of the spherical quadrilateral spanned by m_hat at its
   corners (two-triangle split, Van Oosterom-Strackee angles).
@@ -27,8 +30,10 @@ plaquette mesh is a silently wrong integer, which is why cross_validate runs
 both methods and insists they agree.
 
 Layout: a vector field is a triple of (n, n) component arrays (m_x, m_y, m_z)
-from kspace.texture_field, with dot and triple products written out on them.  The
-plaquette computes its six corner dot products once, for the antipodal guard and both triangles.
+from kspace.texture_field, with dot and cross products written out; m_x and m_y
+are broadcast views of 1-D vectors, which the quadrature uses directly.  The
+plaquette takes its four edge dots from two neighbour-dot arrays (along k_x and
+k_y) and shares one cross product between its two triangles.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .kspace import GapParams, texture_field
 
 RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
-_POLE = (0.0, 0.0, 1.0)
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
@@ -125,21 +129,16 @@ def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _triple(a, b, c):
-    """a . (b x c) on component triples."""
-    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
-    return _dot(a, cross)
-
-
-def _unit_grid(params: GapParams, x: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+def _texture(params: GapParams, x: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Texture components on the (k_x, k_y) mesh and m . m (m_x, m_y squared as 1-D vectors)."""
     m = texture_field(x[:, None], x[None, :], params)
-    norm = np.sqrt(_dot(m, m))
-    return tuple(c / norm for c in m), m, norm
+    mx, my = m[0][:, :1], m[1][:1, :]
+    return m, mx * mx + my * my + m[2] * m[2]
 
 
-def _solid_angle(a, b, c, ab, bc, ac) -> np.ndarray:
-    """Signed solid angle of the spherical triangle (a, b, c) from its corner dot products."""
-    return 2.0 * np.arctan2(_triple(a, b, c), 1.0 + ab + bc + ac)
+def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
+    """Signed solid angle of the spherical triangle (a, b, c) from a . (b x c) and the dots."""
+    return 2.0 * np.arctan2(abc, 1.0 + ab + bc + ac)
 
 
 def _boundary_loop(u: np.ndarray) -> np.ndarray:
@@ -147,11 +146,13 @@ def _boundary_loop(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]])
 
 
-def _cap_closure(unit: tuple) -> float:
-    """Solid angle of the cone closing the boundary loop onto the north pole."""
-    loop = tuple(_boundary_loop(u) for u in unit)
+def _cap_closure(m: tuple, norm: np.ndarray) -> float:
+    """Solid angle of the cone closing the boundary loop of m_hat onto the north pole."""
+    edge = _boundary_loop(norm)
+    loop = tuple(_boundary_loop(c) / edge for c in m)
     nxt = tuple(np.roll(v, -1) for v in loop)
-    return float(_solid_angle(loop, _POLE, nxt, loop[2], nxt[2], _dot(loop, nxt)).sum())
+    abc = loop[1] * nxt[0] - loop[0] * nxt[1]  # loop . (pole x nxt), pole = +z
+    return float(_solid_angle(abc, loop[2], nxt[2], _dot(loop, nxt)).sum())
 
 
 def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) -> ChernResult:
@@ -166,40 +167,57 @@ def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) ->
 
 
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
-    """Invariant via finite-difference derivatives and the trapezoid rule."""
+    """Invariant via finite-difference derivatives and the trapezoid rule.
+
+    The derivatives are 1-D differences of the separable texture: p_x = dm_x/dk_x,
+    p_y = dm_y/dk_y, and q_x = dm_z/dk_x, q_y = dm_z/dk_y along the middle mesh
+    lines.  With d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y) the numerator of
+    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products.
+    """
     _check_inputs(params, k_max, n_grid)
     x, h = _mesh(k_max, n_grid)
-    unit, m, norm = _unit_grid(params, x)
-
-    def d_unit(axis):
-        # d m_hat = (dm - m_hat (m_hat . dm)) / |m|
-        dm = [np.gradient(c, h, axis=axis, edge_order=2) for c in m]
-        along = _dot(unit, dm)
-        return tuple((d - u * along) / norm for u, d in zip(unit, dm))
-
-    integrand = _triple(unit, d_unit(0), d_unit(1))
+    m, s = _texture(params, x)
+    mx, my = m[0][:, 0], m[1][0, :]
+    mid = n_grid // 2  # |k| = h/2 there, the smallest offset the other axis adds to m_z
+    px, py, qx, qy = (np.gradient(v, h, edge_order=2) for v in (mx, my, m[2][:, mid], m[2][mid, :]))
+    norm = np.sqrt(s)
+    # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
+    numerator = (m[2] * px[:, None] - (mx * qx)[:, None]) * py - np.outer(px, my * qy)
+    integrand = numerator / (s * norm)
     total = _trapezoid(_trapezoid(integrand, x, axis=1), x, axis=0)
-    return _finish(total + _cap_closure(unit), n_grid, k_max, "quadrature")
+    return _finish(total + _cap_closure(m, norm), n_grid, k_max, "quadrature")
 
 
 def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via the discrete degree (signed spherical plaquette areas)."""
     _check_inputs(params, k_max, n_grid)
     x, _ = _mesh(k_max, n_grid)
-    unit, _, _ = _unit_grid(params, x)
+    m, s = _texture(params, x)
+    norm = np.sqrt(s, out=s)
+    unit = tuple(c / norm for c in m)
+    cap = _cap_closure(m, norm)
+    del m, s, norm  # frees two n x n arrays before the corner products
 
+    # corners a (i, j), b (i+1, j), c (i+1, j+1), d (i, j+1); the edge dots
+    # come from the neighbour dots along k_x (rows) and along k_y (columns)
+    along_x = _dot(tuple(u[:-1] for u in unit), tuple(u[1:] for u in unit))
+    along_y = _dot(tuple(u[:, :-1] for u in unit), tuple(u[:, 1:] for u in unit))
+    ab, cd = along_x[:, :-1], along_x[:, 1:]
+    ad, bc = along_y[:-1], along_y[1:]
     lo, hi = slice(None, -1), slice(1, None)
     corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
     a, b, c, d = (tuple(u[i, j] for u in unit) for i, j in corners)
-    pairs = ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
-    ab, ac, ad, bc, bd, cd = (_dot(p, q) for p, q in pairs)
-    if min(dot.min() for dot in (ab, ac, ad, bc, bd, cd)) <= -1.0 + ANTIPODAL_TOL:
+    ac = _dot(a, c)
+    if min(dot.min() for dot in (along_x, along_y, ac, _dot(b, d))) <= -1.0 + ANTIPODAL_TOL:
         raise DegeneratePlaquette(
             "two plaquette corners are antipodal within "
             f"{ANTIPODAL_TOL:g}; refine the grid"
         )
-    interior = _solid_angle(a, b, c, ab, bc, ac).sum() + _solid_angle(a, c, d, ac, cd, ad).sum()
-    return _finish(interior + _cap_closure(unit), n_grid, k_max, "plaquette")
+    # a . (b x c) = b . w and a . (c x d) = -d . w with w = c x a
+    w = (c[1] * a[2] - c[2] * a[1], c[2] * a[0] - c[0] * a[2], c[0] * a[1] - c[1] * a[0])
+    interior = _solid_angle(_dot(b, w), ab, bc, ac).sum()
+    interior += _solid_angle(-_dot(d, w), ac, cd, ad).sum()
+    return _finish(interior + cap, n_grid, k_max, "plaquette")
 
 
 def _conditioned(params: GapParams) -> GapParams:

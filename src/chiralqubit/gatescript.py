@@ -30,8 +30,6 @@ import numpy as np
 from . import dynamics, register
 from .register import CouplingLink, FieldProfile, RegisterState
 
-OPS = ("RESET", "GATE", "LINK", "XCHG", "CNOT", "RF", "MEASURE")
-
 # Amplitudes the prefix cache of one run may hold: 4 MiB of complex128, or 64
 # twelve-qubit states.  Past it, new outcome histories are computed from the
 # current state and not stored.
@@ -69,12 +67,40 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _parse_chirality(token: str, line_no: int) -> int:
+def _parse_chirality(token: str, line_no: int, what: str) -> int:
     if token in ("+1", "1"):
         return +1
     if token == "-1":
         return -1
-    raise ScriptError(line_no, f"chirality value must be +1 or -1, got {token!r}")
+    raise ScriptError(line_no, f"{what} must be +1 or -1, got {token!r}")
+
+
+def _parse_gate(token: str, line_no: int, what: str) -> str:
+    if token.upper() not in register.NAMED_GATES:
+        known = ", ".join(sorted(register.NAMED_GATES))
+        raise ScriptError(line_no, f"unknown {what} {token!r} (known: {known})")
+    return token.upper()
+
+
+def _parse_switch(token: str, line_no: int, what: str) -> bool:
+    if token.upper() not in ("ON", "OFF"):
+        raise ScriptError(line_no, f"{what} must be ON or OFF, got {token!r}")
+    return token.upper() == "ON"
+
+
+_QUBIT = (_parse_int, "qubit")
+# op -> (argument names for the arity message, (parser, what) per argument)
+_SYNTAX = {
+    "RESET": ("q value", (_QUBIT, (_parse_chirality, "chirality value"))),
+    "GATE": ("q name", (_QUBIT, (_parse_gate, "gate"))),
+    "LINK": ("i j ON|OFF", (_QUBIT, _QUBIT, (_parse_switch, "link state"))),
+    "XCHG": ("i j theta", (_QUBIT, _QUBIT, (_parse_float, "theta"))),
+    "CNOT": ("control target", ((_parse_int, "control"), (_parse_int, "target"))),
+    "RF": ("q amp duration", (_QUBIT, (_parse_float, "amp"), (_parse_float, "duration"))),
+    "MEASURE": ("q", (_QUBIT,)),
+}
+OPS = tuple(_SYNTAX)
+_NAME_CHECKS = (_parse_gate, _parse_switch)  # run before the index checks of their line
 
 
 def parse_script(text: str) -> list[Instruction]:
@@ -86,69 +112,22 @@ def parse_script(text: str) -> list[Instruction]:
             continue
         tokens = line.split()
         op = tokens[0].upper()
-        nargs = len(tokens) - 1
-        if op == "RESET":
-            if nargs != 2:
-                raise ScriptError(line_no, "RESET takes: q value")
-            args = (_parse_int(tokens[1], line_no, "qubit"), _parse_chirality(tokens[2], line_no))
-        elif op == "GATE":
-            if nargs != 2:
-                raise ScriptError(line_no, "GATE takes: q name")
-            name = tokens[2].upper()
-            if name not in register.NAMED_GATES:
-                known = ", ".join(sorted(register.NAMED_GATES))
-                raise ScriptError(line_no, f"unknown gate {tokens[2]!r} (known: {known})")
-            args = (_parse_int(tokens[1], line_no, "qubit"), name)
-        elif op == "LINK":
-            if nargs != 3:
-                raise ScriptError(line_no, "LINK takes: i j ON|OFF")
-            switch = tokens[3].upper()
-            if switch not in ("ON", "OFF"):
-                raise ScriptError(line_no, f"link state must be ON or OFF, got {tokens[3]!r}")
-            args = (
-                _parse_int(tokens[1], line_no, "qubit"),
-                _parse_int(tokens[2], line_no, "qubit"),
-                switch == "ON",
-            )
-        elif op == "XCHG":
-            if nargs != 3:
-                raise ScriptError(line_no, "XCHG takes: i j theta")
-            args = (
-                _parse_int(tokens[1], line_no, "qubit"),
-                _parse_int(tokens[2], line_no, "qubit"),
-                _parse_float(tokens[3], line_no, "theta"),
-            )
-        elif op == "CNOT":
-            if nargs != 2:
-                raise ScriptError(line_no, "CNOT takes: control target")
-            args = (
-                _parse_int(tokens[1], line_no, "control"),
-                _parse_int(tokens[2], line_no, "target"),
-            )
-        elif op == "RF":
-            if nargs != 3:
-                raise ScriptError(line_no, "RF takes: q amp duration")
-            args = (
-                _parse_int(tokens[1], line_no, "qubit"),
-                _parse_float(tokens[2], line_no, "amp"),
-                _parse_float(tokens[3], line_no, "duration"),
-            )
-        elif op == "MEASURE":
-            if nargs != 1:
-                raise ScriptError(line_no, "MEASURE takes: q")
-            args = (_parse_int(tokens[1], line_no, "qubit"),)
-        else:
+        if op not in _SYNTAX:
             raise ScriptError(line_no, f"unknown instruction {tokens[0]!r}")
-        instructions.append(Instruction(line_no, op, args, line))
+        names, parsers = _SYNTAX[op]
+        if len(tokens) - 1 != len(parsers):
+            raise ScriptError(line_no, f"{op} takes: {names}")
+        args = [None] * len(parsers)
+        for i in sorted(range(len(parsers)), key=lambda i: parsers[i][0] not in _NAME_CHECKS):
+            parse, what = parsers[i]
+            args[i] = parse(tokens[i + 1], line_no, what)
+        instructions.append(Instruction(line_no, op, tuple(args), line))
     return instructions
 
 
 def _qubit_indices(instr: Instruction) -> tuple[int, ...]:
-    if instr.op in ("RESET", "GATE", "RF", "MEASURE"):
-        return (instr.args[0],)
-    if instr.op in ("LINK", "XCHG", "CNOT"):
-        return (instr.args[0], instr.args[1])
-    return ()
+    parsers = _SYNTAX[instr.op][1]  # every integer argument is a qubit index
+    return tuple(q for q, (parse, _) in zip(instr.args, parsers) if parse is _parse_int)
 
 
 def infer_register_size(instructions: list[Instruction]) -> int:

@@ -1,0 +1,36 @@
+"""Smoke test: the layer timer in bench/ runs at its smallest sizes and writes its report."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+KERNELS = [
+    "kspace.texture_field",
+    "chirality.chern_quadrature",
+    "chirality.chern_plaquette",
+    "chirality.cross_validate",
+]
+
+
+def test_layer_timer_runs(tmp_path):
+    out = tmp_path / "BENCH.json"
+    proc = subprocess.run(
+        [sys.executable, str(LAYERS), "--out", str(out), "--sizes", "32", "64", "--repeats", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["machine"]) >= {"nproc", "python", "numpy", "blas", "thread_env"}
+    assert report["machine"]["nproc"] >= 1
+    assert "OMP_NUM_THREADS" in report["machine"]["thread_env"]
+    assert report["repeats"] == 1
+    layers = report["layers"]
+    assert [(row["kernel"], row["n_grid"]) for row in layers] == [
+        (kernel, n) for n in (32, 64) for kernel in KERNELS
+    ]
+    assert all(row["best_s"] > 0.0 for row in layers)
+    # 64^2 resolves the configs/chern.cfg point with both estimators
+    assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row["n_grid"] == 64)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralqubit import chirality
@@ -79,6 +79,23 @@ class TestPlaquette:
         mu = (h / 2.0) ** 2 * 2.0
         with pytest.raises(DegeneratePlaquette):
             chern_plaquette(GapParams(1.0, mu, +1), 8.0, 64)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_degenerate_edge_detected(self, monkeypatch, axis):
+        # m_hat jumps from -z to +z across k = 0 along `axis` and sits on the z
+        # axis on one mesh line only, so the antipodal corner pairs are edges
+        # along `axis`, never plaquette diagonals
+        x, _ = chirality._mesh(8.0, 64)
+
+        def jump(kx, ky, params):
+            along, across = (kx, ky) if axis == 0 else (ky, kx)
+            flat, tilt = 0.0 * along, across - x[16]
+            mz = np.where(along > 0.0, 1.0, -1.0) + 0.0 * across
+            return tuple(np.broadcast_arrays(*((flat, tilt) if axis == 0 else (tilt, flat)), mz))
+
+        monkeypatch.setattr(chirality, "texture_field", jump)
+        with pytest.raises(DegeneratePlaquette):
+            chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, 64)
 
     def test_quantization_random_gapped_parameters(self):
         rng = np.random.default_rng(2024)
@@ -208,6 +225,41 @@ def reference_raw(method, params, k_max, n_grid):
     return -total / (4.0 * math.pi), worst
 
 
+# Reference: the quadrature as it was before it used the separable texture:
+# six 2-D gradients and the unit-normalization chain rule on component arrays.
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _triple(a, b, c):
+    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
+    return _dot(a, cross)
+
+
+def six_gradient_quadrature_raw(params, k_max, n_grid):
+    x, h = chirality._mesh(k_max, n_grid)
+    m = texture_field(x[:, None], x[None, :], params)
+    norm = np.sqrt(_dot(m, m))
+    unit = tuple(c / norm for c in m)
+
+    def d_unit(axis):
+        # d m_hat = (dm - m_hat (m_hat . dm)) / |m|
+        dm = [np.gradient(c, h, axis=axis, edge_order=2) for c in m]
+        along = _dot(unit, dm)
+        return tuple((d - u * along) / norm for u, d in zip(unit, dm))
+
+    integrand = _triple(unit, d_unit(0), d_unit(1))
+    total = chirality._trapezoid(chirality._trapezoid(integrand, x, axis=1), x, axis=0)
+    loop = tuple(
+        np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]]) for u in unit
+    )
+    nxt = tuple(np.roll(v, -1) for v in loop)
+    cap = 2.0 * np.arctan2(
+        _triple(loop, (0.0, 0.0, 1.0), nxt), 1.0 + loop[2] + nxt[2] + _dot(loop, nxt)
+    )
+    return -(total + cap.sum()) / (4.0 * math.pi)
+
+
 class TestComponentKernels:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -238,12 +290,42 @@ class TestComponentKernels:
                 tol *= max(1.0, 1e-3 / (1.0 + worst))
             assert abs(raw - expected) <= tol, (method, raw, expected, worst)
 
-    @pytest.mark.parametrize("mu, first_grid", [(3.0, 128), (40.0, 256), (150.0, 512)])
-    @pytest.mark.parametrize("n_grid_start", [128, 256, 512])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delta=st.floats(0.01, 5.0),
+        mu=st.floats(-50.0, 50.0).filter(lambda mu: abs(mu) >= 0.01),
+        chi=st.sampled_from([+1, -1]),
+        stretch=st.floats(1.01, 4.0),
+        n_grid=st.sampled_from([32, 64, 128, 256]),
+    )
+    # mu < 0 takes the unnormalized in-plane prefactor
+    @example(delta=1.0, mu=-2.0, chi=+1, stretch=1.5, n_grid=256)
+    @example(delta=0.05, mu=-40.0, chi=-1, stretch=3.0, n_grid=32)
+    @example(delta=0.3, mu=45.0, chi=+1, stretch=1.01, n_grid=256)
+    def test_quadrature_matches_six_gradient_reference(self, delta, mu, chi, stretch, n_grid):
+        params = GapParams(delta, mu, chi)
+        k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
+        expected = six_gradient_quadrature_raw(params, k_max, n_grid)
+        try:
+            raw = chern_quadrature(params, k_max, n_grid).raw
+        except NotConverged as exc:
+            raw = exc.result.raw
+        assert abs(raw - expected) <= 1e-12 * max(1.0, abs(expected)), (raw, expected)
+
+    @pytest.mark.parametrize(
+        "n_grid_start, mu, first_grid",
+        [
+            (start, mu, grid)
+            for start in (128, 256, 512)
+            for mu, grid in ((3.0, 128), (40.0, 256), (150.0, 512))
+        ]
+        + [(512, 600.0, 1024), (128, -2.0, 128)],
+    )
     def test_cross_validate_converges(self, mu, first_grid, n_grid_start):
         # automatic k_max: the escalation stops at the same grid as the stacked kernels did
         for chi in (+1, -1):
             report = cross_validate(GapParams(0.3, mu, chi), n_grid_start=n_grid_start)
-            assert report.n_integer == report.quadrature.n_integer == chi
+            expected = chi if mu > 0 else 0
+            assert report.n_integer == report.quadrature.n_integer == expected
             assert report.quadrature.grid_size == max(n_grid_start, first_grid)
             assert report.plaquette.grid_size == report.quadrature.grid_size

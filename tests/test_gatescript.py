@@ -73,6 +73,66 @@ class TestParsing:
             infer_register_size(parse_script("GATE 12 X\n"))
 
 
+ARITY = [
+    ("RESET", 2, "q value"),
+    ("GATE", 2, "q name"),
+    ("LINK", 3, "i j ON|OFF"),
+    ("XCHG", 3, "i j theta"),
+    ("CNOT", 2, "control target"),
+    ("RF", 3, "q amp duration"),
+    ("MEASURE", 1, "q"),
+]
+
+
+class TestParseMessages:
+    @pytest.mark.parametrize("op, nargs, usage", ARITY)
+    def test_arity_message(self, op, nargs, usage):
+        assert gatescript.OPS == tuple(op for op, _, _ in ARITY)
+        for wrong in (nargs - 1, nargs + 1):
+            text = "# header\n" + " ".join([op.lower()] + ["0"] * wrong) + "\n"
+            with pytest.raises(ScriptError) as excinfo:
+                parse_script(text)
+            assert str(excinfo.value) == f"line 2: {op} takes: {usage}"
+            assert excinfo.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("FROB 1", "unknown instruction 'FROB'"),
+            ("RESET x 2", "qubit must be an integer, got 'x'"),
+            ("RESET 0 2", "chirality value must be +1 or -1, got '2'"),
+            # the gate name and the link state are checked before the qubit indices
+            ("GATE x foo", "unknown gate 'foo' (known: H, I, X, Y, Z)"),
+            ("GATE x h", "qubit must be an integer, got 'x'"),
+            ("LINK a b maybe", "link state must be ON or OFF, got 'maybe'"),
+            ("LINK 0 b on", "qubit must be an integer, got 'b'"),
+            ("XCHG 0 1 inf", "theta must be finite, got 'inf'"),
+            ("XCHG 0 y twopi", "qubit must be an integer, got 'y'"),
+            ("CNOT a b", "control must be an integer, got 'a'"),
+            ("CNOT 0 b", "target must be an integer, got 'b'"),
+            ("RF 0 fast 1", "amp must be a number, got 'fast'"),
+            ("RF 0 0.1 nan", "duration must be finite, got 'nan'"),
+            ("MEASURE 1.5", "qubit must be an integer, got '1.5'"),
+        ],
+    )
+    def test_argument_messages(self, line, message):
+        with pytest.raises(ScriptError) as excinfo:
+            parse_script("MEASURE 0\n" + line + "\n")
+        assert str(excinfo.value) == f"line 2: {message}"
+
+    def test_arguments_parsed(self):
+        text = "reset 0 -1\ngate 1 h\nlink 0 1 On\nxchg 1 0 0.5\ncnot 0 1\nrf 2 0.1 3\nmeasure 2\n"
+        assert [(i.op, i.args) for i in parse_script(text)] == [
+            ("RESET", (0, -1)),
+            ("GATE", (1, "H")),
+            ("LINK", (0, 1, True)),
+            ("XCHG", (1, 0, 0.5)),
+            ("CNOT", (0, 1)),
+            ("RF", (2, 0.1, 3.0)),
+            ("MEASURE", (2,)),
+        ]
+
+
 class TestExecution:
     def test_swap_script_outcomes(self):
         run = run_script(parse_script(SWAP_SCRIPT), seed=9)
