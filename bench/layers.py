@@ -1,14 +1,23 @@
-"""Layer timer for the chirality kernels.
+"""Layer timer for the chirality and register kernels.
 
-    python bench/layers.py --out BENCH.json [--sizes 128 1024] [--repeats 7]
+    python bench/layers.py --out BENCH.json [--sizes 128 1024] [--qubits 4 12] [--repeats 7]
 
-It imports the package from the src/ directory next to it.  At every size n
-it times kspace.texture_field on the n x n mesh, chirality.chern_quadrature,
-chirality.chern_plaquette, and chirality.cross_validate held to that one grid
-(n_grid_start = n_grid_max = n), all at the point of configs/chern.cfg
-(delta 1, mu 1, chi +1, k_max 8).  Each kernel runs once to warm up, then
---repeats times; the best time counts.  A kernel that raises NotConverged
-(the coarsest grids) is timed all the same and its outcome says so.
+It imports the package from the src/ directory next to it.  At every grid
+size n it times kspace.texture_field on the n x n mesh,
+chirality.chern_quadrature, chirality.chern_plaquette, and
+chirality.cross_validate held to that one grid (n_grid_start = n_grid_max =
+n), all at the point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
+At every register size n it times, on one fixed random n-qubit state and
+around the middle qubit q = n // 2: register.apply_single_gate (H on q),
+register.exchange_pulse (half pulse on the link q-1, q),
+register.cnot_composed (control q-1, target q), register.measure (of q, one
+persistent generator) and register.selective_rf_pulse (a pi pulse of amp
+0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  Each kernel runs once to warm
+up and once more to size a batch of back-to-back calls that lasts at least
+MIN_BATCH_S, so microsecond kernels are timed above the clock's noise; then
+--repeats batches run and the best time per call counts.  A kernel that
+raises NotConverged (the coarsest grids) is timed all the same and its
+outcome says so.
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy,
 the BLAS numpy was built with, and the thread environment variables.
@@ -17,7 +26,9 @@ the BLAS numpy was built with, and the thread environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -29,6 +40,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chiralqubit.chirality import (  # noqa: E402
+    MAX_GRID,
     NotConverged,
     _mesh,
     chern_plaquette,
@@ -36,11 +48,25 @@ from chiralqubit.chirality import (  # noqa: E402
     cross_validate,
 )
 from chiralqubit.kspace import GapParams, texture_field  # noqa: E402
+from chiralqubit.register import (  # noqa: E402
+    MAX_QUBITS,
+    SYMMETRIC,
+    CouplingLink,
+    FieldProfile,
+    RegisterState,
+    apply_single_gate,
+    cnot_composed,
+    exchange_pulse,
+    measure,
+    selective_rf_pulse,
+)
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PARAMS = GapParams(1.0, 1.0, +1)
 K_MAX = 8.0
+RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
+MIN_BATCH_S = 2e-3
 
 
 def _mesh_texture(n: int):
@@ -48,7 +74,7 @@ def _mesh_texture(n: int):
     return texture_field(x[:, None], x[None, :], PARAMS)
 
 
-KERNELS = {
+GRID_KERNELS = {
     "kspace.texture_field": _mesh_texture,
     "chirality.chern_quadrature": lambda n: chern_quadrature(PARAMS, K_MAX, n),
     "chirality.chern_plaquette": lambda n: chern_plaquette(PARAMS, K_MAX, n),
@@ -56,22 +82,45 @@ KERNELS = {
 }
 
 
-def _outcome(kernel, n: int) -> str:
+def register_kernels(n: int) -> dict:
+    """Zero-argument calls of the register kernels on an n-qubit state (n >= 2)."""
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = RegisterState(n, amps / np.linalg.norm(amps))
+    q = n // 2
+    link = CouplingLink(q - 1, q)
+    profile = FieldProfile(tuple(FIELD_STEP * (k + 1) for k in range(n)))
+    draws = np.random.default_rng(1)
+    return {
+        "register.apply_single_gate": lambda: apply_single_gate(state, q, SYMMETRIC),
+        "register.exchange_pulse": lambda: exchange_pulse(state, link, math.pi / 2.0),
+        "register.cnot_composed": lambda: cnot_composed(state, q - 1, q, link),
+        "register.measure": lambda: measure(state, q, draws),
+        "register.selective_rf_pulse": lambda: selective_rf_pulse(
+            state, profile, q, RF_AMP, math.pi / RF_AMP, RF_DT),
+    }
+
+
+def _outcome(call) -> str:
     try:
-        result = kernel(n)
+        result = call()
     except NotConverged as exc:
         return f"NotConverged (raw {exc.result.raw:.6g})"
     return f"N = {result.n_integer}" if hasattr(result, "n_integer") else "ok"
 
 
-def time_kernel(kernel, n: int, repeats: int) -> tuple[float, str]:
-    """Best wall time of `repeats` calls after one warm-up call, and the outcome."""
-    outcome = _outcome(kernel, n)
+def time_kernel(call, repeats: int) -> tuple[float, str]:
+    """Best wall time per call over `repeats` batches, and the outcome."""
+    outcome = _outcome(call)
+    start = perf_counter()
+    _outcome(call)
+    number = max(1, math.ceil(MIN_BATCH_S / (perf_counter() - start)))
     best = float("inf")
     for _ in range(repeats):
         start = perf_counter()
-        _outcome(kernel, n)
-        best = min(best, perf_counter() - start)
+        for _ in range(number):
+            _outcome(call)
+        best = min(best, (perf_counter() - start) / number)
     return best, outcome
 
 
@@ -96,17 +145,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 1024])
+    parser.add_argument("--qubits", type=int, nargs="+", default=[4, 12])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or min(args.sizes) < 32:
-        parser.error("--repeats must be >= 1 and every size >= 32")
+    if args.repeats < 1 or min(args.sizes) < 32 or max(args.sizes) > MAX_GRID:
+        parser.error(f"--repeats must be >= 1 and every size in [32, {MAX_GRID}]")
+    if not 2 <= min(args.qubits) <= max(args.qubits) <= MAX_QUBITS:
+        parser.error(f"every --qubits value must be in [2, {MAX_QUBITS}]")
 
     layers = []
     for n in args.sizes:
-        for name, kernel in KERNELS.items():
-            best, outcome = time_kernel(kernel, n, args.repeats)
+        for name, kernel in GRID_KERNELS.items():
+            best, outcome = time_kernel(functools.partial(kernel, n), args.repeats)
             layers.append({"kernel": name, "n_grid": n, "best_s": best, "outcome": outcome})
-            print(f"{name:28s} {n:5d}^2  {best * 1e3:9.3f} ms  {outcome}")
+            print(f"{name:28s} {n:5d}^2     {best * 1e3:9.3f} ms  {outcome}")
+    for n in args.qubits:
+        for name, call in register_kernels(n).items():
+            best, outcome = time_kernel(call, args.repeats)
+            layers.append({"kernel": name, "n_qubits": n, "best_s": best, "outcome": outcome})
+            print(f"{name:28s} {n:5d} qubits {best * 1e3:9.3f} ms  {outcome}")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

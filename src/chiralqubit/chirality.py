@@ -47,6 +47,7 @@ from .kspace import GapParams, texture_field
 
 RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
+MAX_GRID = 1024  # largest n_grid per side: each n x n float array is 8 MiB there
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
@@ -115,8 +116,8 @@ def _check_inputs(params: GapParams, k_max: float, n_grid: int) -> None:
     floor = 3.0 * max(math.sqrt(max(params.mu, 0.0)), params.delta, 1.0)
     if not k_max > floor:
         raise ValueError(f"k_max must exceed {floor:g} for these parameters, got {k_max}")
-    if n_grid < 32:
-        raise ValueError(f"n_grid must be >= 32, got {n_grid}")
+    if not 32 <= n_grid <= MAX_GRID:
+        raise ValueError(f"n_grid must be in [32, {MAX_GRID}], got {n_grid}")
 
 
 def _mesh(k_max: float, n_grid: int) -> tuple[np.ndarray, float]:
@@ -238,7 +239,7 @@ def cross_validate(
     params: GapParams,
     k_max: float | None = None,
     n_grid_start: int = 128,
-    n_grid_max: int = 1024,
+    n_grid_max: int = MAX_GRID,
 ) -> CrossValidation:
     """Run both estimators at escalating resolution and require agreement.
 

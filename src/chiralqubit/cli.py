@@ -14,7 +14,9 @@ errors.  Fixed exit codes:
 
 A trajectory (beat, damp, rabi) and an RF pulse may take at most
 dynamics.MAX_STEPS = 10**6 steps; more is a config error (exit 1), or a
-script error (exit 5) from inside a chain script.
+script error (exit 5) from inside a chain script.  A chain may take at most
+gatescript.MAX_SHOTS = 10**6 shots and a chern grid at most
+chirality.MAX_GRID = 1024 points per side; more is a config error (exit 1).
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ def run_chain(config: dict) -> list[str]:
         text = open(config["script_path"], encoding="utf-8").read()
     except OSError as exc:
         raise ConfigError(f"cannot read script {config['script_path']!r}: {exc}") from exc
-    if config["shots"] < 1:
-        raise ConfigError(f"shots must be >= 1, got {config['shots']}")
+    if not 1 <= config["shots"] <= gatescript.MAX_SHOTS:
+        raise ConfigError(f"shots must be in [1, {gatescript.MAX_SHOTS}], got {config['shots']}")
     instructions = gatescript.parse_script(text)
     run = gatescript.run_script(
         instructions,

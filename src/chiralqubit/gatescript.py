@@ -34,6 +34,7 @@ from .register import CouplingLink, FieldProfile, RegisterState
 # twelve-qubit states.  Past it, new outcome histories are computed from the
 # current state and not stored.
 CACHE_BUDGET_AMPS = 1 << 18
+MAX_SHOTS = 10**6  # shots one run may take; each keeps its outcome list in the run
 
 
 class ScriptError(ValueError):
@@ -197,10 +198,10 @@ def run_script(
     shot.  The cache holds at most CACHE_BUDGET_AMPS amplitudes; past that,
     new histories are computed from the current state and not stored.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     n = infer_register_size(instructions)
-    rng = register._as_rng(seed)
+    rng = np.random.default_rng(seed)
     profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
 
     cache: dict[tuple[tuple[int, int], ...], _Segment] = {}

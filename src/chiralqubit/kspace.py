@@ -81,9 +81,6 @@ class MVector:
             raise ZeroTexture("texture vector is zero, unit vector undefined")
         return MVector(self.mx / n, self.my / n, self.mz / n)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mx, self.my, self.mz])
-
 
 def d_z(k, params: GapParams) -> complex:
     """Gap amplitude delta*(k_x + i*chi*k_y)/k_F at momentum k = (k_x, k_y).

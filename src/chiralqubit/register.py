@@ -1,7 +1,8 @@
 """Linear chains of chirality qubits: gates, couplings, readout.
 
 Register amplitudes live on the product chirality basis with qubit 0 as the
-leftmost tensor factor; per qubit, bit 0 means |-1> and bit 1 means |+1>.
+leftmost tensor factor; every gate, pulse and projection sees that layout
+only through `_block`.  Per qubit, bit 0 means |-1> and bit 1 means |+1>.
 RegisterState values are immutable snapshots and every operation returns a
 fresh state, so concurrent read-only sharing is safe.
 
@@ -16,6 +17,7 @@ chirality maps directly onto the sign of the spontaneous Hall voltage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -116,9 +118,7 @@ class RegisterState:
 
     @classmethod
     def all_minus(cls, n: int) -> "RegisterState":
-        amps = np.zeros(2**n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
+        return cls.product([-1] * n)
 
     @classmethod
     def product(cls, values: Sequence[int]) -> "RegisterState":
@@ -137,9 +137,7 @@ class RegisterState:
     def probability_plus(self, q: int) -> float:
         """Reduced probability of reading +1 on qubit q."""
         _check_index(self, q)
-        psi = self.amps.reshape([2] * self.n)
-        axes = tuple(a for a in range(self.n) if a != q)
-        return float(np.sum(np.abs(psi) ** 2, axis=axes)[1])
+        return _weight(_block(self.amps, q)[:, 1])
 
 
 def _bit(value: int) -> int:
@@ -155,19 +153,18 @@ def _check_index(state: RegisterState, q: int) -> None:
         raise IndexOutOfRange(f"qubit {q} outside register of size {state.n}")
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    psi = np.moveaxis(psi, q, -1)
-    psi = psi @ u.T
-    return np.moveaxis(psi, -1, q).reshape(-1)
+def _block(amps: np.ndarray, lo: int, k: int = 1) -> np.ndarray:
+    """View (before, block, after) of amps around the k qubits from lo on."""
+    return amps.reshape(2**lo, 2**k, -1)
 
 
-def _apply_2q(amps: np.ndarray, n: int, i: int, j: int, u4: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    psi = np.moveaxis(psi, (i, j), (-2, -1))
-    shape = psi.shape
-    psi = psi.reshape(-1, 4) @ u4.T
-    return np.moveaxis(psi.reshape(shape), (-2, -1), (i, j)).reshape(-1)
+def _apply(amps: np.ndarray, lo: int, u: np.ndarray) -> np.ndarray:
+    """Apply the 2**k x 2**k matrix u on the k qubits from lo on; flat result."""
+    return (u @ _block(amps, lo, len(u).bit_length() - 1)).reshape(-1)
+
+
+def _weight(branch: np.ndarray) -> float:
+    return float(np.vdot(branch, branch).real)
 
 
 def z_rotation(phi: float) -> np.ndarray:
@@ -185,7 +182,7 @@ def apply_single_gate(state: RegisterState, q: int, gate: np.ndarray) -> Registe
         raise NotUnitary(f"gate must be 2x2, got shape {gate.shape}")
     if np.abs(gate.conj().T @ gate - IDENTITY_2).max() > UNITARITY_TOL:
         raise NotUnitary("gate is not unitary within 1e-10")
-    return RegisterState(state.n, _apply_1q(state.amps, state.n, q, gate))
+    return RegisterState(state.n, _apply(state.amps, q, gate))
 
 
 def exchange_unitary(pulse_area: float) -> np.ndarray:
@@ -207,9 +204,9 @@ def exchange_pulse(state: RegisterState, link: CouplingLink, pulse_area: float) 
         raise LinkOff(f"link ({link.i}, {link.j}) is off")
     if not (pulse_area >= 0.0 and math.isfinite(pulse_area)):
         raise ValueError(f"pulse_area must be finite and >= 0, got {pulse_area!r}")
-    _check_index(state, link.i)
-    _check_index(state, link.j)
-    amps = _apply_2q(state.amps, state.n, link.i, link.j, exchange_unitary(pulse_area))
+    _check_index(state, max(link.i, link.j))  # links join adjacent qubits >= 0
+    # the pulse commutes with SWAP, so the link's orientation does not matter
+    amps = _apply(state.amps, min(link.i, link.j), exchange_unitary(pulse_area))
     return RegisterState(state.n, amps)
 
 
@@ -219,8 +216,9 @@ def cnot_composed(
     """CNOT from two half exchange pulses and single-qubit rotations.
 
     The z-rotation/half-pulse core produces a conditional phase flip; basis
-    changes on the target turn it into the bit flip.  Control is active on
-    |+1>.  The net unitary equals canonical CNOT up to a global phase.
+    changes on the target turn it into the bit flip; _cnot_matrix holds the
+    sequence.  Control is active on |+1>.  The net unitary equals canonical
+    CNOT up to a global phase.
     """
     _check_index(state, control)
     _check_index(state, target)
@@ -230,14 +228,23 @@ def cnot_composed(
         raise ValueError(f"link ({link.i}, {link.j}) does not join {control} and {target}")
     if not link.on:
         raise LinkOff(f"link ({link.i}, {link.j}) is off")
+    amps = _apply(state.amps, min(control, target), _cnot_matrix(control < target))
+    return RegisterState(state.n, amps)
 
-    s = apply_single_gate(state, target, SYMMETRIC)
-    s = exchange_pulse(s, link, math.pi / 2.0)
-    s = apply_single_gate(s, control, z_rotation(-math.pi))
-    s = exchange_pulse(s, link, math.pi / 2.0)
-    s = apply_single_gate(s, control, z_rotation(-math.pi / 2.0))
-    s = apply_single_gate(s, target, z_rotation(+math.pi / 2.0))
-    return apply_single_gate(s, target, SYMMETRIC.conj().T)
+
+@functools.cache
+def _cnot_matrix(control_first: bool) -> np.ndarray:
+    """Read-only 4x4 of cnot_composed's pulse sequence; control left if control_first."""
+    c, t = (0, 1) if control_first else (1, 0)
+    half = exchange_unitary(math.pi / 2.0)
+    u = np.eye(4, dtype=complex)
+    for lo, gate in ((t, SYMMETRIC), (0, half), (c, z_rotation(-math.pi)), (0, half),
+                     (c, z_rotation(-math.pi / 2.0)), (t, z_rotation(+math.pi / 2.0)),
+                     (t, SYMMETRIC.conj().T)):
+        u = _apply(u, lo, gate)
+    u = u.reshape(4, 4)
+    u.setflags(write=False)
+    return u
 
 
 def selective_rf_pulse(
@@ -290,7 +297,7 @@ def selective_rf_pulse(
         params = TwoLevelParams(epsilon=profile.eps[q], drive_amp=amp, drive_freq=omega)
         u = dynamics.drive_propagator(params, duration, dt)
         unwind = dynamics._propagator(0.0, 0.0, -profile.eps[q], duration)
-        amps = _apply_1q(amps, state.n, q, unwind @ u)
+        amps = _apply(amps, q, unwind @ u)
     return RegisterState(state.n, amps)
 
 
@@ -301,12 +308,11 @@ def _project(state: RegisterState, q: int, value: int, source: int | None = None
     itself); the other component is zeroed.
     """
     bit = _bit(value)
-    psi = state.amps.reshape([2] * state.n)
-    keep = np.take(psi, bit if source is None else _bit(source), axis=q)
-    keep = keep / math.sqrt(float(np.sum(np.abs(keep) ** 2)))
-    zero = np.zeros_like(keep)
-    parts = (keep, zero) if bit == 0 else (zero, keep)
-    return RegisterState(state.n, np.stack(parts, axis=q).reshape(-1))
+    psi = _block(state.amps, q)
+    keep = psi[:, bit if source is None else _bit(source)]
+    out = np.zeros_like(psi)
+    out[:, bit] = keep / math.sqrt(_weight(keep))
+    return RegisterState(state.n, out.reshape(-1))
 
 
 def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
@@ -317,15 +323,8 @@ def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
     so the reset always succeeds deterministically.
     """
     _check_index(state, q)
-    psi = state.amps.reshape([2] * state.n)
-    weight = float(np.sum(np.abs(np.take(psi, _bit(value), axis=q)) ** 2))
+    weight = _weight(_block(state.amps, q)[:, _bit(value)])
     return _project(state, q, value, value if weight > 1e-24 else -value)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def measure(state: RegisterState, q: int, seed) -> tuple[int, RegisterState]:
@@ -335,10 +334,8 @@ def measure(state: RegisterState, q: int, seed) -> tuple[int, RegisterState]:
     through a chain of calls makes the whole outcome sequence reproducible.
     Returns (outcome, collapsed state) with outcome +1 or -1.
     """
-    _check_index(state, q)
-    rng = _as_rng(seed)
-    p_plus = state.probability_plus(q)
-    outcome = +1 if rng.random() < p_plus else -1
+    p_plus = state.probability_plus(q)  # checks q
+    outcome = +1 if np.random.default_rng(seed).random() < p_plus else -1
     return outcome, _project(state, q, outcome)
 
 

@@ -6,18 +6,26 @@ import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
-KERNELS = [
+GRID_KERNELS = [
     "kspace.texture_field",
     "chirality.chern_quadrature",
     "chirality.chern_plaquette",
     "chirality.cross_validate",
+]
+REGISTER_KERNELS = [
+    "register.apply_single_gate",
+    "register.exchange_pulse",
+    "register.cnot_composed",
+    "register.measure",
+    "register.selective_rf_pulse",
 ]
 
 
 def test_layer_timer_runs(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
-        [sys.executable, str(LAYERS), "--out", str(out), "--sizes", "32", "64", "--repeats", "1"],
+        [sys.executable, str(LAYERS), "--out", str(out),
+         "--sizes", "32", "64", "--qubits", "2", "3", "--repeats", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -28,9 +36,10 @@ def test_layer_timer_runs(tmp_path):
     assert "OMP_NUM_THREADS" in report["machine"]["thread_env"]
     assert report["repeats"] == 1
     layers = report["layers"]
-    assert [(row["kernel"], row["n_grid"]) for row in layers] == [
-        (kernel, n) for n in (32, 64) for kernel in KERNELS
-    ]
+    assert [(row["kernel"], row.get("n_grid"), row.get("n_qubits")) for row in layers] == [
+        (kernel, n, None) for n in (32, 64) for kernel in GRID_KERNELS
+    ] + [(kernel, None, n) for n in (2, 3) for kernel in REGISTER_KERNELS]
     assert all(row["best_s"] > 0.0 for row in layers)
     # 64^2 resolves the configs/chern.cfg point with both estimators
-    assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row["n_grid"] == 64)
+    assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
+    assert all(row["outcome"] == "ok" for row in layers if "n_qubits" in row)

@@ -48,6 +48,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             chern_quadrature(GapParams(1.0, 1.0, +1), 8.0, 16)
 
+    @pytest.mark.parametrize("estimator", [chern_quadrature, chern_plaquette])
+    def test_rejects_grid_above_cap_before_meshing(self, estimator, monkeypatch):
+        def no_mesh(*args):
+            raise AssertionError("a grid above the cap was built")
+
+        monkeypatch.setattr(chirality, "_mesh", no_mesh)
+        with pytest.raises(ValueError, match=f"\\[32, {chirality.MAX_GRID}\\]"):
+            estimator(GapParams(1.0, 1.0, +1), 8.0, chirality.MAX_GRID + 1)
+        chirality._check_inputs(GapParams(1.0, 1.0, +1), 8.0, chirality.MAX_GRID)
+
 
 class TestPlaquette:
     def test_exact_quantization(self):

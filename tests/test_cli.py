@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chiralqubit import cli
+from chiralqubit import chirality, cli, gatescript
 from chiralqubit.cli import main
 
 SWAP_SCRIPT = """\
@@ -80,6 +80,14 @@ class TestChern:
         config = write(tmp_path / "c.cfg", "method = both\nn_grid = 2048\n")
         assert main(["chern", "--config", config]) == 1
         assert "1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["quadrature", "plaquette"])
+    def test_single_method_grid_above_cap_is_config_error(self, tmp_path, capsys, method):
+        n_grid = chirality.MAX_GRID + 1
+        config = write(tmp_path / "c.cfg", f"method = {method}\nn_grid = {n_grid}\n")
+        assert main(["chern", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(chirality.MAX_GRID) in err
 
     def test_method_disagreement_exit_code(self, tmp_path, capsys):
         # the quadrature misses the narrow gap at n_grid = 128 while the plaquette sum does not
@@ -173,6 +181,17 @@ class TestChain:
         config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
         assert main(["chain", "--config", config]) == 5
         assert "line 2" in capsys.readouterr().err
+
+    def test_shots_above_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("shots ran")
+
+        monkeypatch.setattr(gatescript, "run_script", no_run)
+        script = write(tmp_path / "swap.gates", SWAP_SCRIPT)
+        shots = gatescript.MAX_SHOTS + 1
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\nshots = {shots}\n")
+        assert main(["chain", "--config", config]) == 1
+        assert f"got {shots}" in capsys.readouterr().err
 
     def test_link_off_exit_code(self, tmp_path):
         script = write(tmp_path / "off.gates", "XCHG 0 1 1.0\n")

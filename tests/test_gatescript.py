@@ -144,6 +144,14 @@ class TestExecution:
         assert run.final_state.probabilities()[0] == 1.0
         assert run.shot_outcomes == [[]]
 
+    def test_shots_above_cap_rejected_before_any_shot(self, monkeypatch):
+        def no_measure(*args):
+            raise AssertionError("a shot ran")
+
+        monkeypatch.setattr(register, "measure", no_measure)
+        with pytest.raises(ValueError, match=f"\\[1, {gatescript.MAX_SHOTS}\\]"):
+            run_script(parse_script(BELL_SCRIPT), seed=0, shots=gatescript.MAX_SHOTS + 1)
+
     def test_bell_statistics(self):
         run = run_script(parse_script(BELL_SCRIPT), seed=2718, shots=10_000)
         freqs = run.outcome_frequencies()

@@ -1,12 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from chiralqubit import dynamics
+from chiralqubit import dynamics, register
 from chiralqubit.dynamics import QubitState, StepTooLarge, TwoLevelParams
 from chiralqubit.register import (
+    IDENTITY_2,
     NAMED_GATES,
     PAULI_X,
     PAULI_Y,
@@ -250,6 +254,101 @@ class TestLocality:
             else:
                 state = exchange_pulse(state, links[int(rng.integers(3))], rng.uniform(0, math.pi))
         assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-8
+
+
+# Dense references: every operator is a Kronecker product of per-qubit 2x2
+# factors, qubit 0 leftmost, so nothing here reshapes the amplitude vector.
+P_MINUS = np.diag([1.0, 0.0]).astype(complex)
+P_PLUS = np.diag([0.0, 1.0]).astype(complex)
+KERNEL_TOL = 1e-12
+
+
+def dense(n, factors):
+    """Kronecker product over the register of {qubit: 2x2}, identity elsewhere."""
+    return functools.reduce(np.kron, [factors.get(q, IDENTITY_2) for q in range(n)])
+
+
+def dense_exchange(n, i, j, theta):
+    sigma_dot_sigma = sum(dense(n, {i: p, j: p}) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+    return expm(-0.25j * theta * sigma_dot_sigma)
+
+
+def dense_cnot(n, control, target):
+    return dense(n, {control: P_MINUS}) + dense(n, {control: P_PLUS, target: PAULI_X})
+
+
+def collapsed(n, q, projector, amps):
+    branch = dense(n, {q: projector}) @ amps
+    return branch / np.linalg.norm(branch)
+
+
+register_states = st.builds(
+    lambda n, seed: random_state(n, np.random.default_rng(seed)),
+    st.integers(1, 8), st.integers(0, 2**32 - 1),
+)
+chain_states = register_states.filter(lambda state: state.n >= 2)
+
+
+class TestKernelAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(state=register_states, seed=st.integers(0, 2**32 - 1))
+    def test_single_gate_at_every_qubit(self, state, seed):
+        u = random_unitary(np.random.default_rng(seed))
+        for q in range(state.n):
+            out = apply_single_gate(state, q, u)
+            assert np.abs(out.amps - dense(state.n, {q: u}) @ state.amps).max() < KERNEL_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=chain_states, data=st.data(), theta=st.floats(0.0, 2.0 * math.pi))
+    def test_exchange_pulse_both_orientations(self, state, data, theta):
+        lo = data.draw(st.integers(0, state.n - 2))
+        want = dense_exchange(state.n, lo, lo + 1, theta) @ state.amps
+        for i, j in ((lo, lo + 1), (lo + 1, lo)):
+            out = exchange_pulse(state, CouplingLink(i, j), theta)
+            assert np.abs(out.amps - want).max() < KERNEL_TOL
+
+    @pytest.mark.parametrize("control_first", [True, False])
+    def test_cnot_matrix_is_canonical_up_to_phase(self, control_first):
+        u = register._cnot_matrix(control_first)
+        canonical = dense_cnot(2, *((0, 1) if control_first else (1, 0)))
+        phase = u[0, 0]
+        assert abs(abs(phase) - 1.0) < KERNEL_TOL
+        assert np.abs(u - phase * canonical).max() < KERNEL_TOL
+        assert not u.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=chain_states, data=st.data())
+    def test_cnot_both_orientations(self, state, data):
+        lo = data.draw(st.integers(0, state.n - 2))
+        for control, target in ((lo, lo + 1), (lo + 1, lo)):
+            out = cnot_composed(state, control, target, CouplingLink(lo, lo + 1))
+            phase = register._cnot_matrix(control < target)[0, 0]
+            want = phase * dense_cnot(state.n, control, target) @ state.amps
+            assert np.abs(out.amps - want).max() < KERNEL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=register_states, seed=st.integers(0, 2**32 - 1))
+    def test_probability_plus_and_measure_collapse(self, state, seed):
+        for q in range(state.n):
+            p_plus = np.vdot(state.amps, dense(state.n, {q: P_PLUS}) @ state.amps).real
+            assert abs(state.probability_plus(q) - p_plus) < KERNEL_TOL
+            outcome, post = measure(state, q, seed)
+            assert outcome == (+1 if np.random.default_rng(seed).random() < p_plus else -1)
+            want = collapsed(state.n, q, P_PLUS if outcome == +1 else P_MINUS, state.amps)
+            assert np.abs(post.amps - want).max() < KERNEL_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=register_states, value=st.sampled_from([+1, -1]))
+    def test_reset_projects_or_flips(self, state, value):
+        keep, drop = (P_PLUS, P_MINUS) if value == +1 else (P_MINUS, P_PLUS)
+        for q in range(state.n):
+            out = initialize_reset(state, q, value)
+            assert np.abs(out.amps - collapsed(state.n, q, keep, state.amps)).max() < KERNEL_TOL
+            # no weight on the requested value: the other component moves into its slot
+            other = RegisterState(state.n, collapsed(state.n, q, drop, state.amps))
+            flipped = dense(state.n, {q: PAULI_X}) @ other.amps
+            out = initialize_reset(other, q, value)
+            assert np.abs(out.amps - flipped).max() < KERNEL_TOL
 
 
 class TestSelectiveRf:
