@@ -1,6 +1,7 @@
-"""Layer timer for the chirality and register kernels.
+"""Layer timer for the chirality, register and driven-dynamics kernels.
 
-    python bench/layers.py --out BENCH.json [--sizes 128 1024] [--qubits 4 12] [--repeats 7]
+    python bench/layers.py --out BENCH.json [--sizes 128 1024] [--qubits 4 12]
+                           [--steps 1000 10000] [--repeats 7]
 
 It imports the package from the src/ directory next to it.  At every grid
 size n it times kspace.texture_field on the n x n mesh,
@@ -12,12 +13,14 @@ around the middle qubit q = n // 2: register.apply_single_gate (H on q),
 register.exchange_pulse (half pulse on the link q-1, q),
 register.cnot_composed (control q-1, target q), register.measure (of q, one
 persistent generator) and register.selective_rf_pulse (a pi pulse of amp
-0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  Each kernel runs once to warm
-up and once more to size a batch of back-to-back calls that lasts at least
-MIN_BATCH_S, so microsecond kernels are timed above the clock's noise; then
---repeats batches run and the best time per call counts.  A kernel that
-raises NotConverged (the coarsest grids) is timed all the same and its
-outcome says so.
+0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  At every step count n it times
+dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
+of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
+omega 2).  Each kernel runs once to warm up and once more to size a batch of
+back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
+are timed above the clock's noise; then --repeats batches run and the best
+time per call counts.  A kernel that raises NotConverged (the coarsest
+grids) is timed all the same and its outcome says so.
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy,
 the BLAS numpy was built with, and the thread environment variables.
@@ -47,6 +50,13 @@ from chiralqubit.chirality import (  # noqa: E402
     chern_quadrature,
     cross_validate,
 )
+from chiralqubit.dynamics import (  # noqa: E402
+    MAX_STEPS,
+    QubitState,
+    TwoLevelParams,
+    drive_evolve,
+    drive_propagator,
+)
 from chiralqubit.kspace import GapParams, texture_field  # noqa: E402
 from chiralqubit.register import (  # noqa: E402
     MAX_QUBITS,
@@ -66,6 +76,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 PARAMS = GapParams(1.0, 1.0, +1)
 K_MAX = 8.0
 RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
+DRIVE, DRIVE_DT = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 0.005
 MIN_BATCH_S = 2e-3
 
 
@@ -98,6 +109,15 @@ def register_kernels(n: int) -> dict:
         "register.measure": lambda: measure(state, q, draws),
         "register.selective_rf_pulse": lambda: selective_rf_pulse(
             state, profile, q, RF_AMP, math.pi / RF_AMP, RF_DT),
+    }
+
+
+def drive_kernels(n: int) -> dict:
+    """Zero-argument calls of the driven-qubit kernels over n steps."""
+    return {
+        "dynamics.drive_evolve":
+            lambda: drive_evolve(QubitState.minus(), DRIVE, n * DRIVE_DT, DRIVE_DT),
+        "dynamics.drive_propagator": lambda: drive_propagator(DRIVE, n * DRIVE_DT, DRIVE_DT),
     }
 
 
@@ -146,12 +166,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 1024])
     parser.add_argument("--qubits", type=int, nargs="+", default=[4, 12])
+    parser.add_argument("--steps", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.sizes) < 32 or max(args.sizes) > MAX_GRID:
         parser.error(f"--repeats must be >= 1 and every size in [32, {MAX_GRID}]")
     if not 2 <= min(args.qubits) <= max(args.qubits) <= MAX_QUBITS:
         parser.error(f"every --qubits value must be in [2, {MAX_QUBITS}]")
+    if not 1 <= min(args.steps) <= max(args.steps) <= MAX_STEPS:
+        parser.error(f"every --steps value must be in [1, {MAX_STEPS}]")
 
     layers = []
     for n in args.sizes:
@@ -164,6 +187,11 @@ def main(argv=None) -> int:
             best, outcome = time_kernel(call, args.repeats)
             layers.append({"kernel": name, "n_qubits": n, "best_s": best, "outcome": outcome})
             print(f"{name:28s} {n:5d} qubits {best * 1e3:9.3f} ms  {outcome}")
+    for n in args.steps:
+        for name, call in drive_kernels(n).items():
+            best, outcome = time_kernel(call, args.repeats)
+            layers.append({"kernel": name, "n_steps": n, "best_s": best, "outcome": outcome})
+            print(f"{name:28s} {n:7d} steps {best * 1e3:8.3f} ms  {outcome}")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

@@ -229,9 +229,11 @@ def run_rabi(config: dict) -> list[str]:
     return _population_rows(times, amps)
 
 
-def _basis_label(index: int, n: int) -> str:
-    bits = ((index >> (n - 1 - q)) & 1 for q in range(n))
-    return "|" + ",".join("+1" if b else "-1" for b in bits) + ">"
+def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
+    """'|-1,+1,...> p' for each basis state of probability p > 1e-12, in index order."""
+    kept = np.flatnonzero(probs > 1e-12)
+    return ["|" + ",".join("+1" if bit == "1" else "-1" for bit in format(index, f"0{n}b"))
+            + f"> {_fmt(p)}" for index, p in zip(kept.tolist(), probs[kept].tolist())]
 
 
 def _outcome_tokens(outcomes: list[tuple[int, int]]) -> str:
@@ -269,11 +271,7 @@ def run_chain(config: dict) -> list[str]:
     for key, freq in run.outcome_frequencies().items():
         lines.append(f"{_outcome_tokens(list(key))} -> {_fmt(freq)}")
     lines.append("final probabilities:")
-    probs = run.final_state.probabilities()
-    for index in range(probs.size):
-        if probs[index] > 1e-12:
-            lines.append(f"{_basis_label(index, run.n)} {_fmt(probs[index])}")
-    return lines
+    return lines + _probability_lines(run.final_state.probabilities(), run.n)
 
 
 def run_device(config: dict) -> list[str]:

@@ -11,9 +11,10 @@ the tuning bias that lifts their degeneracy.  Environment coupling is reduced
 to a single pure-dephasing rate gamma (jump operator sigma_z); the rate damps
 the beating but does not shift delta.  Every evolution is built from one
 exact 2x2 exponential, `_propagator`, evaluated on arrays of steps or times,
-so norm and trace are preserved unconditionally.  Driven steps are composed
-by a log-depth prefix product, damped steps by doubling powers of one Strang
-superoperator; no path loops in Python per step.
+so norm and trace are preserved unconditionally.  A driven trajectory takes
+every prefix product of its steps (log-depth scan), a driven propagator only
+the total (pairwise, in blocks of STEP_BLOCK steps, all RF biases at once);
+damped steps by doubling powers of one Strang superoperator; no Python step loops.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 STEP_SAFETY_LIMIT = 0.1
 MAX_STEPS = 10**6  # cap on the steps (or samples) of one trajectory
+STEP_BLOCK = 2**15  # steps built at once by a driven propagator; bounds its memory
 
 
 class StepTooLarge(ValueError):
@@ -264,37 +266,64 @@ def evolve_damped(
     return np.arange(n + 1) * dt, out.reshape(n + 1, 2, 2)
 
 
-def _drive_steps(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:
-    """Step unitaries of the RF-driven qubit over [0, t], shape (n_steps, 2, 2).
+def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps, block=MAX_STEPS):
+    """Step unitaries of the RF-driven qubit over [0, t] in time-ordered blocks of <= block steps.
 
-    The Hamiltonian e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) -
-    delta)*sigma_x is frozen at each step midpoint and exponentiated exactly,
-    so every step is unitary to rounding regardless of dt; dt still bounds
-    the midpoint-rule accuracy via the StepTooLarge check.
+    A step freezes e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) - delta)*sigma_x at
+    its midpoint and exponentiates it exactly: unitary to rounding for any dt, while dt bounds
+    the midpoint error (StepTooLarge, checked at the call).  A block is (..., steps, 2, 2), one
+    row per bias of an `eps` of shape (..., 1), or a float; it stands for params.epsilon.
     """
     _require_closed(params, allow_drive=True)
-    _check_step(dt, abs(params.e0) + math.hypot(params.epsilon, params.delta + params.drive_amp))
-    mid = (np.arange(_n_steps(t, dt)) + 0.5) * dt
-    x = -params.delta + params.drive_amp * np.cos(params.drive_freq * mid)
-    return _propagator(params.e0, x, params.epsilon, dt)
+    _check_step(dt, abs(params.e0) + math.hypot(np.abs(eps).max(), params.delta + params.drive_amp))
+    n = _n_steps(t, dt)
+    mids = ((np.arange(k, min(n, k + block)) + 0.5) * dt for k in range(0, n, block))
+    xs = (-params.delta + params.drive_amp * np.cos(params.drive_freq * mid) for mid in mids)
+    return (_propagator(params.e0, x, eps, dt) for x in xs)
+
+
+def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b on broadcast stacks of 2x2 matrices, entry by entry; `out` may overlap a or b."""
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    entries = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,  # all formed before any is stored
+               a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex) if out is None else out
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
 
 
 def _running_products(steps: np.ndarray) -> np.ndarray:
-    """steps[k] @ ... @ steps[0] for every k, in place, by a log-depth prefix product.
-
-    After the pass with offset `off`, entry k holds the product of up to 2*off steps.
-    """
+    """steps[k] @ ... @ steps[0] for every k, in place; after offset `off`, of up to 2*off steps."""
     off = 1
     while off < len(steps):
-        steps[off:] = steps[off:] @ steps[:-off]
+        _mul(steps[off:], steps[:-off], out=steps[off:])
         off *= 2
     return steps
 
 
+def _total_product(steps: np.ndarray) -> np.ndarray:
+    """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] (n >= 1) by pairwise halving."""
+    while steps.shape[-3] > 1:
+        pairs = _mul(steps[..., 1::2, :, :], steps[..., 0:-1:2, :, :])  # later steps on the left
+        if steps.shape[-3] % 2:  # the odd last step joins the next level as it is
+            pairs = np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
+        steps = pairs
+    return steps[..., 0, :, :]
+
+
+def _drive_propagators(params: TwoLevelParams, t: float, dt: float, epsilon) -> np.ndarray:
+    """drive_propagator for each bias of the 1-D `epsilon`, which replaces params.epsilon."""
+    eps = np.asarray(epsilon, dtype=float)
+    total = np.tile(IDENTITY, (len(eps), 1, 1))
+    for steps in _drive_steps(params, t, dt, eps[:, None], STEP_BLOCK):
+        total = _mul(_total_product(steps), total)  # block totals in time order
+    return total
+
+
 def drive_propagator(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:
     """Accumulated unitary for the RF-driven qubit over [0, t] (see _drive_steps)."""
-    products = _running_products(_drive_steps(params, t, dt))
-    return products[-1] if len(products) else IDENTITY.copy()
+    return _drive_propagators(params, t, dt, [params.epsilon])[0]
 
 
 def drive_evolve(
@@ -306,6 +335,6 @@ def drive_evolve(
     resonance drive_freq = 2*sqrt(delta^2 + epsilon^2) and weak drive the
     populations Rabi-cycle with angular rate drive_amp.
     """
-    psi = state.vector
-    out = np.concatenate([psi[None], _running_products(_drive_steps(params, t, dt)) @ psi])
+    steps = np.concatenate([IDENTITY[None], *_drive_steps(params, t, dt, params.epsilon)])
+    out = _running_products(steps) @ state.vector  # the identity (step -1) gives sample 0
     return np.arange(len(out)) * dt, out

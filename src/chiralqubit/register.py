@@ -159,8 +159,10 @@ def _block(amps: np.ndarray, lo: int, k: int = 1) -> np.ndarray:
 
 
 def _apply(amps: np.ndarray, lo: int, u: np.ndarray) -> np.ndarray:
-    """Apply the 2**k x 2**k matrix u on the k qubits from lo on; flat result."""
-    return (u @ _block(amps, lo, len(u).bit_length() - 1)).reshape(-1)
+    """Apply the 2**k x 2**k matrix u on the k qubits from lo on; flat result, one product."""
+    block = _block(amps, lo, len(u).bit_length() - 1).swapaxes(0, 1)
+    out = np.dot(u, block.reshape(len(u), -1)).reshape(block.shape)
+    return out.swapaxes(0, 1).reshape(-1)
 
 
 def _weight(branch: np.ndarray) -> float:
@@ -169,9 +171,7 @@ def _weight(branch: np.ndarray) -> float:
 
 def z_rotation(phi: float) -> np.ndarray:
     """exp(-i*phi*sigma_z/2) in the chirality basis."""
-    return np.array(
-        [[np.exp(0.5j * phi), 0.0], [0.0, np.exp(-0.5j * phi)]], dtype=complex
-    )
+    return dynamics._propagator(0.0, 0.0, 0.5 * phi, 1.0)
 
 
 def apply_single_gate(state: RegisterState, q: int, gate: np.ndarray) -> RegisterState:
@@ -273,9 +273,7 @@ def selective_rf_pulse(
     if amp == 0.0:
         return state
     eps = profile.eps
-    gap = min(
-        abs(eps[a] - eps[b]) for a in range(len(eps)) for b in range(a + 1, len(eps))
-    ) if len(eps) > 1 else math.inf
+    gap = np.diff(np.sort(eps)).min(initial=math.inf)  # closest pair of biases
     if gap < 5.0 * amp:
         raise InsufficientGradient(
             f"minimum bias separation {gap:g} is below 5*amp = {5.0 * amp:g}"
@@ -291,13 +289,13 @@ def selective_rf_pulse(
             f"lower dt to {0.95 * dynamics.STEP_SAFETY_LIMIT / bound:.2g} or less, "
             "or lower epsilon in the chain config"
         )
-    omega = 2.0 * abs(profile.eps[target])
+    params = TwoLevelParams(drive_amp=amp, drive_freq=2.0 * abs(eps[target]))
+    lab = dynamics._drive_propagators(params, duration, dt, eps)
+    # unwind each static bias over the pulse duration itself, not n_steps * dt
+    rotating = dynamics._mul(dynamics._propagator(0.0, 0.0, -np.array(eps), duration), lab)
     amps = state.amps
     for q in range(state.n):
-        params = TwoLevelParams(epsilon=profile.eps[q], drive_amp=amp, drive_freq=omega)
-        u = dynamics.drive_propagator(params, duration, dt)
-        unwind = dynamics._propagator(0.0, 0.0, -profile.eps[q], duration)
-        amps = _apply(amps, q, unwind @ u)
+        amps = _apply(amps, q, rotating[q])
     return RegisterState(state.n, amps)
 
 

@@ -19,13 +19,14 @@ REGISTER_KERNELS = [
     "register.measure",
     "register.selective_rf_pulse",
 ]
+DRIVE_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator"]
 
 
 def test_layer_timer_runs(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(LAYERS), "--out", str(out),
-         "--sizes", "32", "64", "--qubits", "2", "3", "--repeats", "1"],
+         "--sizes", "32", "64", "--qubits", "2", "3", "--steps", "1", "100", "--repeats", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -36,10 +37,12 @@ def test_layer_timer_runs(tmp_path):
     assert "OMP_NUM_THREADS" in report["machine"]["thread_env"]
     assert report["repeats"] == 1
     layers = report["layers"]
-    assert [(row["kernel"], row.get("n_grid"), row.get("n_qubits")) for row in layers] == [
-        (kernel, n, None) for n in (32, 64) for kernel in GRID_KERNELS
-    ] + [(kernel, None, n) for n in (2, 3) for kernel in REGISTER_KERNELS]
+    sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("n_steps"))
+             for row in layers]
+    assert sizes == [(kernel, n, None, None) for n in (32, 64) for kernel in GRID_KERNELS] + [
+        (kernel, None, n, None) for n in (2, 3) for kernel in REGISTER_KERNELS
+    ] + [(kernel, None, None, n) for n in (1, 100) for kernel in DRIVE_KERNELS]
     assert all(row["best_s"] > 0.0 for row in layers)
     # 64^2 resolves the configs/chern.cfg point with both estimators
     assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
-    assert all(row["outcome"] == "ok" for row in layers if "n_qubits" in row)
+    assert all(row["outcome"] == "ok" for row in layers if "n_grid" not in row)

@@ -222,6 +222,29 @@ class TestChain:
         assert main(["chain", "--config", config]) == 5
         assert "cap" in capsys.readouterr().err
 
+    @staticmethod
+    def loop_listing(probs, n):
+        """The per-index listing loop the chain runner used before its vectorized form."""
+        lines = []
+        for index in range(probs.size):
+            if probs[index] > 1e-12:
+                bits = ((index >> (n - 1 - q)) & 1 for q in range(n))
+                label = "|" + ",".join("+1" if b else "-1" for b in bits) + ">"
+                lines.append(f"{label} {cli._fmt(probs[index])}")
+        return lines
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_probability_listing_matches_index_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            probs = rng.random(2**n) ** 8  # spans the listing threshold
+            probs /= probs.sum()
+            # the threshold itself, just above and just below it, a subnormal and a zero
+            edge = [1e-12, np.nextafter(1e-12, 1.0), np.nextafter(1e-12, 0.0), 5e-324, 0.0]
+            probs[rng.choice(2**n, size=min(len(edge), 2**n), replace=False)] = edge[:2**n]
+            assert (probs == 1e-12).any()
+            assert cli._probability_lines(probs, n) == self.loop_listing(probs, n)
+
     def test_seed_flag_overrides_config(self, tmp_path):
         script = write(
             tmp_path / "coin.gates", "GATE 0 H\nMEASURE 0\n"

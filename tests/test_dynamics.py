@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from chiralqubit import dynamics
 from chiralqubit.dynamics import (
     MAX_STEPS,
     SIGMA_X,
@@ -13,8 +15,11 @@ from chiralqubit.dynamics import (
     QubitState,
     StepTooLarge,
     TwoLevelParams,
+    _drive_propagators,
+    _mul,
     _n_steps,
     _propagator,
+    _total_product,
     beat_probability,
     drive_evolve,
     drive_propagator,
@@ -420,6 +425,80 @@ class TestAgainstExpm:
         reference = midpoint_reference(params, dt, 10_000)
         _, amps = drive_evolve(QubitState.minus(), params, 50.0, dt)
         assert np.abs(amps - np.array([u[:, 0] for u in reference])).max() < 1e-10
+
+
+def random_matrices(rng, shape):
+    return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+
+class TestDriveKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mul_matches_matmul_on_broadcast_stacks(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (random_matrices(rng, shape) for shape in shapes.input_shapes)
+        got = _mul(a, b)
+        assert got.shape == shapes.result_shape + (2, 2)
+        assert np.abs(got - np.matmul(a, b)).max(initial=0.0) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 70), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_mul_in_place_on_overlapping_slices(self, n, data, seed):
+        # the update of one prefix-product pass: out = steps[off:], a view of steps
+        off = data.draw(st.integers(1, n - 1))
+        steps = random_matrices(np.random.default_rng(seed), (n,))
+        before = steps.copy()
+        _mul(steps[off:], steps[:-off], out=steps[off:])
+        assert np.array_equal(steps[:off], before[:off])
+        assert np.abs(steps[off:] - before[off:] @ before[:-off]).max() < 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 71))
+    def test_total_product_matches_sequential_product(self, n):
+        steps = random_matrices(np.random.default_rng(n), (3, n)) / 2.0
+        want = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for k in range(n):
+            want = steps[:, k] @ want  # later steps on the left
+        got = _total_product(steps)
+        assert got.shape == (3, 2, 2) and np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 21, 50])
+    def test_step_blocks_do_not_change_the_propagator(self, monkeypatch, block, n):
+        params = TwoLevelParams(e0=0.3, delta=0.2, epsilon=0.9, drive_amp=0.4, drive_freq=1.7)
+        unblocked = drive_propagator(params, n * 0.01, 0.01)
+        sizes = []
+
+        def total_product(steps):
+            sizes.append(steps.shape[-3])
+            return _total_product(steps)
+
+        monkeypatch.setattr(dynamics, "STEP_BLOCK", block)
+        monkeypatch.setattr(dynamics, "_total_product", total_product)
+        assert np.abs(drive_propagator(params, n * 0.01, 0.01) - unblocked).max() < 1e-12
+        assert sum(sizes) == n and max(sizes, default=block) <= block
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=params_strategy,
+           biases=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+           n=st.integers(0, 70),
+           fraction=st.floats(0.05, 0.95))
+    def test_batched_propagators_match_per_bias_calls(self, params, biases, n, fraction):
+        worst = max(abs(eps) for eps in biases)
+        scale = abs(params.e0) + math.hypot(worst, params.delta + params.drive_amp)
+        dt = bounded_dt(scale, fraction)
+        batched = _drive_propagators(params, n * dt, dt, biases)
+        assert batched.shape == (len(biases), 2, 2)
+        for eps, got in zip(biases, batched):
+            single = TwoLevelParams(e0=params.e0, delta=params.delta, epsilon=eps,
+                                    drive_amp=params.drive_amp, drive_freq=params.drive_freq)
+            assert np.abs(got - drive_propagator(single, n * dt, dt)).max() < 1e-12
+
+    def test_batched_step_check_uses_the_largest_bias(self):
+        params = TwoLevelParams(drive_amp=0.05, drive_freq=2.0)
+        _drive_propagators(params, 1.0, 0.01, [0.5, -9.0])  # 0.01 * hypot(9, 0.05) < 0.1
+        with pytest.raises(StepTooLarge):
+            _drive_propagators(params, 1.0, 0.01, [0.5, -11.0])
 
 
 class TestStepCount:

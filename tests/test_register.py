@@ -376,6 +376,26 @@ class TestSelectiveRf:
         assert np.abs(lab_frame - amps[-1]).max() < 1e-9
         assert abs(out.probability_plus(0) - abs(amps[-1, 1]) ** 2) < 1e-9
 
+    @pytest.mark.parametrize("n, target, amp, duration", [
+        (3, 0, 0.05, 9.6137), (3, 2, 0.08, 10.3871), (4, 1, 0.06, 9.9013), (5, 3, 0.07, 10.0119),
+    ])
+    def test_matches_expm_kronecker_reference(self, n, target, amp, duration):
+        dt, eps = 0.025, tuple(0.5 * (q + 1) for q in range(n))
+        steps = round(duration / dt)
+        assert abs(duration - steps * dt) > 1e-3  # the frame unwinds over duration, not steps * dt
+        state = random_state(n, np.random.default_rng(n))
+        omega = 2.0 * eps[target]
+        factors = []
+        for bias in eps:
+            u = np.eye(2, dtype=complex)
+            for k in range(steps):  # later steps on the left
+                h = bias * PAULI_Z + amp * math.cos(omega * (k + 0.5) * dt) * PAULI_X
+                u = expm(-1j * dt * h) @ u
+            factors.append(expm(1j * bias * duration * PAULI_Z) @ u)
+        want = functools.reduce(np.kron, factors) @ state.amps
+        out = selective_rf_pulse(state, FieldProfile(eps), target, amp, duration, dt)
+        assert np.abs(out.amps - want).max() < 1e-10
+
     def test_insufficient_gradient(self):
         with pytest.raises(InsufficientGradient):
             selective_rf_pulse(
