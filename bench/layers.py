@@ -20,7 +20,9 @@ omega 2).  Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
 time per call counts.  A kernel that raises NotConverged (the coarsest
-grids) is timed all the same and its outcome says so.
+grids) is timed all the same and its outcome says so.  Each grid kernel
+runs once more, untimed, under tracemalloc, and its row records that
+call's peak of traced allocations as peak_mb (numpy arrays included).
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy,
 the BLAS numpy was built with, and the thread environment variables.
@@ -35,6 +37,7 @@ import math
 import os
 import platform
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -144,6 +147,16 @@ def time_kernel(call, repeats: int) -> tuple[float, str]:
     return best, outcome
 
 
+def peak_mb(call) -> float:
+    """Peak traced allocation of one call, in MB (untimed: tracing slows allocation)."""
+    tracemalloc.start()
+    try:
+        _outcome(call)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def machine() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -179,9 +192,12 @@ def main(argv=None) -> int:
     layers = []
     for n in args.sizes:
         for name, kernel in GRID_KERNELS.items():
-            best, outcome = time_kernel(functools.partial(kernel, n), args.repeats)
-            layers.append({"kernel": name, "n_grid": n, "best_s": best, "outcome": outcome})
-            print(f"{name:28s} {n:5d}^2     {best * 1e3:9.3f} ms  {outcome}")
+            call = functools.partial(kernel, n)
+            best, outcome = time_kernel(call, args.repeats)
+            peak = peak_mb(call)
+            layers.append({"kernel": name, "n_grid": n, "best_s": best, "peak_mb": peak,
+                           "outcome": outcome})
+            print(f"{name:28s} {n:5d}^2     {best * 1e3:9.3f} ms  {peak:7.2f} MB  {outcome}")
     for n in args.qubits:
         for name, call in register_kernels(n).items():
             best, outcome = time_kernel(call, args.repeats)

@@ -29,11 +29,11 @@ residual reflects numerical noise only.  The failure mode of a too-coarse
 plaquette mesh is a silently wrong integer, which is why cross_validate runs
 both methods and insists they agree.
 
-Layout: a vector field is a triple of (n, n) component arrays (m_x, m_y, m_z)
-from kspace.texture_field, with dot and cross products written out; m_x and m_y
-are broadcast views of 1-D vectors, which the quadrature uses directly.  The
-plaquette takes its four edge dots from two neighbour-dot arrays (along k_x and
-k_y) and shares one cross product between its two triangles.
+Layout: both estimators walk the mesh in blocks of max(1, BLOCK // n_grid)
+rows, build each block's texture with kspace.texture_field and hold no n x n
+array: memory is a few BLOCK-point block arrays plus O(n_grid) vectors.  Vector
+fields are triples of component arrays with dot and cross products written out.
+The cap closure evaluates the texture on the boundary loop only.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .kspace import GapParams, texture_field
 
 RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
-MAX_GRID = 1024  # largest n_grid per side: each n x n float array is 8 MiB there
+MAX_GRID = 1024  # largest n_grid per side
+BLOCK = 2**13  # mesh points per block of rows: a cache-sized float array of 64 KiB
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
@@ -130,11 +131,13 @@ def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _texture(params: GapParams, x: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Texture components on the (k_x, k_y) mesh and m . m (m_x, m_y squared as 1-D vectors)."""
-    m = texture_field(x[:, None], x[None, :], params)
-    mx, my = m[0][:, :1], m[1][:1, :]
-    return m, mx * mx + my * my + m[2] * m[2]
+def _blocks(params: GapParams, x: np.ndarray, overlap: int = 0):
+    """Row slice, texture m and m . m of each block of max(1, BLOCK // n) rows (+ overlap)."""
+    rows = max(1, BLOCK // len(x))
+    for start in range(0, len(x) - overlap, rows):
+        m = texture_field(x[start:start + rows + overlap, None], x[None, :], params)
+        mx, my = m[0][:, :1], m[1][:1, :]  # m_x and m_y squared as 1-D vectors
+        yield slice(start, start + len(mx)), m, mx * mx + my * my + m[2] * m[2]
 
 
 def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
@@ -142,18 +145,17 @@ def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
     return 2.0 * np.arctan2(abc, 1.0 + ab + bc + ac)
 
 
-def _boundary_loop(u: np.ndarray) -> np.ndarray:
-    """Mesh boundary of one component, traversed counterclockwise in the (k_x, k_y) plane."""
-    return np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]])
-
-
-def _cap_closure(m: tuple, norm: np.ndarray) -> float:
+def _cap_closure(params: GapParams, x: np.ndarray) -> float:
     """Solid angle of the cone closing the boundary loop of m_hat onto the north pole."""
-    edge = _boundary_loop(norm)
-    loop = tuple(_boundary_loop(c) / edge for c in m)
-    nxt = tuple(np.roll(v, -1) for v in loop)
-    abc = loop[1] * nxt[0] - loop[0] * nxt[1]  # loop . (pole x nxt), pole = +z
-    return float(_solid_angle(abc, loop[2], nxt[2], _dot(loop, nxt)).sum())
+    # mesh boundary counterclockwise from the corner (0, 0) back to it; k_y trails k_x by a side
+    sides = (x[:-1], np.full(len(x) - 1, x[-1]), x[:0:-1], np.full(len(x) - 1, x[0]))
+    kx = np.concatenate([*sides, x[:1]])
+    m = texture_field(kx, np.concatenate([sides[3], *sides[:3], x[:1]]), params)
+    edge = np.sqrt(_dot(m, m))
+    loop = tuple(c / edge for c in m)
+    a, b = tuple(v[:-1] for v in loop), tuple(v[1:] for v in loop)
+    abc = a[1] * b[0] - a[0] * b[1]  # a . (pole x b), pole = +z
+    return float(_solid_angle(abc, a[2], b[2], _dot(a, b)).sum())
 
 
 def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) -> ChernResult:
@@ -170,55 +172,52 @@ def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) ->
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via finite-difference derivatives and the trapezoid rule.
 
-    The derivatives are 1-D differences of the separable texture: p_x = dm_x/dk_x,
+    The derivatives are 1-D differences of 1-D texture lines: p_x = dm_x/dk_x,
     p_y = dm_y/dk_y, and q_x = dm_z/dk_x, q_y = dm_z/dk_y along the middle mesh
     lines.  With d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y) the numerator of
-    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products.
+    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products, and each
+    block's k_y trapezoids fill one n_grid vector for the final k_x trapezoid.
     """
     _check_inputs(params, k_max, n_grid)
     x, h = _mesh(k_max, n_grid)
-    m, s = _texture(params, x)
-    mx, my = m[0][:, 0], m[1][0, :]
     mid = n_grid // 2  # |k| = h/2 there, the smallest offset the other axis adds to m_z
-    px, py, qx, qy = (np.gradient(v, h, edge_order=2) for v in (mx, my, m[2][:, mid], m[2][mid, :]))
-    norm = np.sqrt(s)
-    # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
-    numerator = (m[2] * px[:, None] - (mx * qx)[:, None]) * py - np.outer(px, my * qy)
-    integrand = numerator / (s * norm)
-    total = _trapezoid(_trapezoid(integrand, x, axis=1), x, axis=0)
-    return _finish(total + _cap_closure(m, norm), n_grid, k_max, "quadrature")
+    mx, _, mz_x = texture_field(x, x[mid], params)
+    _, my, mz_y = texture_field(x[mid], x, params)
+    px, py, qx, qy = (np.gradient(v, h, edge_order=2) for v in (mx, my, mz_x, mz_y))
+    inner = np.empty(n_grid)
+    for rows, m, s in _blocks(params, x):
+        # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
+        numerator = (m[2] * px[rows, None] - (mx * qx)[rows, None]) * py
+        numerator -= np.outer(px[rows], my * qy)
+        inner[rows] = _trapezoid(numerator / (s * np.sqrt(s)), x, axis=1)
+    return _finish(_trapezoid(inner, x) + _cap_closure(params, x), n_grid, k_max, "quadrature")
 
 
 def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via the discrete degree (signed spherical plaquette areas)."""
     _check_inputs(params, k_max, n_grid)
     x, _ = _mesh(k_max, n_grid)
-    m, s = _texture(params, x)
-    norm = np.sqrt(s, out=s)
-    unit = tuple(c / norm for c in m)
-    cap = _cap_closure(m, norm)
-    del m, s, norm  # frees two n x n arrays before the corner products
-
     # corners a (i, j), b (i+1, j), c (i+1, j+1), d (i, j+1); the edge dots
     # come from the neighbour dots along k_x (rows) and along k_y (columns)
-    along_x = _dot(tuple(u[:-1] for u in unit), tuple(u[1:] for u in unit))
-    along_y = _dot(tuple(u[:, :-1] for u in unit), tuple(u[:, 1:] for u in unit))
-    ab, cd = along_x[:, :-1], along_x[:, 1:]
-    ad, bc = along_y[:-1], along_y[1:]
     lo, hi = slice(None, -1), slice(1, None)
     corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
-    a, b, c, d = (tuple(u[i, j] for u in unit) for i, j in corners)
-    ac = _dot(a, c)
-    if min(dot.min() for dot in (along_x, along_y, ac, _dot(b, d))) <= -1.0 + ANTIPODAL_TOL:
-        raise DegeneratePlaquette(
-            "two plaquette corners are antipodal within "
-            f"{ANTIPODAL_TOL:g}; refine the grid"
-        )
-    # a . (b x c) = b . w and a . (c x d) = -d . w with w = c x a
-    w = (c[1] * a[2] - c[2] * a[1], c[2] * a[0] - c[0] * a[2], c[0] * a[1] - c[1] * a[0])
-    interior = _solid_angle(_dot(b, w), ab, bc, ac).sum()
-    interior += _solid_angle(-_dot(d, w), ac, cd, ad).sum()
-    return _finish(interior + cap, n_grid, k_max, "plaquette")
+    interior = 0.0
+    for _, m, s in _blocks(params, x, overlap=1):
+        norm = np.sqrt(s, out=s)
+        unit = tuple(c / norm for c in m)
+        along_x = _dot(tuple(u[lo] for u in unit), tuple(u[hi] for u in unit))
+        along_y = _dot(tuple(u[:, lo] for u in unit), tuple(u[:, hi] for u in unit))
+        ab, cd, ad, bc = along_x[:, lo], along_x[:, hi], along_y[lo], along_y[hi]
+        a, b, c, d = (tuple(u[i, j] for u in unit) for i, j in corners)
+        ac = _dot(a, c)
+        if min(dot.min() for dot in (along_x, along_y, ac, _dot(b, d))) <= -1.0 + ANTIPODAL_TOL:
+            raise DegeneratePlaquette(
+                f"two plaquette corners are antipodal within {ANTIPODAL_TOL:g}; refine the grid")
+        # a . (b x c) = b . w and a . (c x d) = -d . w with w = c x a
+        w = (c[1] * a[2] - c[2] * a[1], c[2] * a[0] - c[0] * a[2], c[0] * a[1] - c[1] * a[0])
+        interior += _solid_angle(_dot(b, w), ab, bc, ac).sum()
+        interior += _solid_angle(-_dot(d, w), ac, cd, ad).sum()
+    return _finish(interior + _cap_closure(params, x), n_grid, k_max, "plaquette")
 
 
 def _conditioned(params: GapParams) -> GapParams:

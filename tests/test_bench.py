@@ -43,6 +43,8 @@ def test_layer_timer_runs(tmp_path):
         (kernel, None, n, None) for n in (2, 3) for kernel in REGISTER_KERNELS
     ] + [(kernel, None, None, n) for n in (1, 100) for kernel in DRIVE_KERNELS]
     assert all(row["best_s"] > 0.0 for row in layers)
+    # every grid kernel allocates its mesh, so its traced peak is positive
+    assert all(row["peak_mb"] > 0.0 for row in layers if "n_grid" in row)
     # 64^2 resolves the configs/chern.cfg point with both estimators
     assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
     assert all(row["outcome"] == "ok" for row in layers if "n_grid" not in row)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -339,3 +341,90 @@ class TestComponentKernels:
             assert report.n_integer == report.quadrature.n_integer == expected
             assert report.quadrature.grid_size == max(n_grid_start, first_grid)
             assert report.plaquette.grid_size == report.quadrature.grid_size
+
+
+# Reference: the cap closure as it was computed from the whole (n, n) texture.
+def _boundary_loop(u):
+    return np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]])
+
+
+def whole_mesh_cap_closure(params, x):
+    m = texture_field(x[:, None], x[None, :], params)
+    mx, my = m[0][:, :1], m[1][:1, :]
+    edge = _boundary_loop(np.sqrt(mx * mx + my * my + m[2] * m[2]))
+    loop = tuple(_boundary_loop(c) / edge for c in m)
+    nxt = tuple(np.roll(v, -1) for v in loop)
+    abc = loop[1] * nxt[0] - loop[0] * nxt[1]
+    return float(chirality._solid_angle(abc, loop[2], nxt[2], _dot(loop, nxt)).sum())
+
+
+def _raw_or_error(estimator, params, k_max, n_grid, block):
+    with mock.patch.object(chirality, "BLOCK", block):
+        try:
+            return estimator(params, k_max, n_grid).raw
+        except NotConverged as exc:
+            return exc.result.raw
+        except DegeneratePlaquette:
+            return "DegeneratePlaquette"
+
+
+def _block_sizes(n_grid):
+    # one row (BLOCK below n_grid), two rows, five rows (a partial last block), the whole mesh
+    return (1, 2 * n_grid, 5 * n_grid, n_grid * n_grid)
+
+
+class TestBlockSeams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.floats(0.01, 5.0),
+        mu=st.floats(-50.0, 50.0).filter(lambda mu: abs(mu) >= 0.01),
+        chi=st.sampled_from([+1, -1]),
+        stretch=st.floats(1.01, 4.0),
+        n_grid=st.sampled_from([32, 33, 64]),
+    )
+    def test_raw_independent_of_block(self, delta, mu, chi, stretch, n_grid):
+        params = GapParams(delta, mu, chi)
+        k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
+        *blocked, whole = _block_sizes(n_grid)
+        quad = _raw_or_error(chern_quadrature, params, k_max, n_grid, whole)
+        plaq = _raw_or_error(chern_plaquette, params, k_max, n_grid, whole)
+        for block in blocked:
+            assert _raw_or_error(chern_quadrature, params, k_max, n_grid, block) == quad, block
+            raw = _raw_or_error(chern_plaquette, params, k_max, n_grid, block)
+            if isinstance(plaq, str):
+                assert raw == plaq, block
+            else:
+                assert abs(raw - plaq) <= 1e-13, (block, raw, plaq)
+        x, _ = chirality._mesh(k_max, n_grid)
+        assert chirality._cap_closure(params, x) == whole_mesh_cap_closure(params, x)
+
+    @pytest.mark.parametrize("n_grid", [32, 33, 64])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_antipodal_pair_across_seam_detected(self, monkeypatch, n_grid, rows, offset):
+        # m_hat jumps from -z to +z between mesh rows jump - 1 and jump, next to the
+        # first block seam (mesh row `rows`, shared by the first two blocks), and sits
+        # on the z axis on one column only: a single antipodal pair along k_x
+        x, _ = chirality._mesh(8.0, n_grid)
+        jump = max(1, rows + offset)
+
+        def seam_texture(kx, ky, params):
+            mz = np.where(kx >= x[jump], 1.0, -1.0) + 0.0 * ky
+            return tuple(np.broadcast_arrays(0.0 * kx, ky - x[n_grid // 3], mz))
+
+        monkeypatch.setattr(chirality, "BLOCK", rows * n_grid)
+        monkeypatch.setattr(chirality, "texture_field", seam_texture)
+        with pytest.raises(DegeneratePlaquette):
+            chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, n_grid)
+
+
+@pytest.mark.parametrize("estimator", [chern_quadrature, chern_plaquette])
+def test_memory_bounded_at_max_grid(estimator):
+    # the whole-mesh kernels peaked at 59 MB (quadrature) and 101 MB (plaquette) at this size
+    tracemalloc.start()
+    try:
+        estimator(GapParams(1.0, 1.0, +1), 8.0, chirality.MAX_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
