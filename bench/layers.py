@@ -1,7 +1,7 @@
-"""Layer timer for the chirality, register and driven-dynamics kernels.
+"""Layer timer for the chirality, register, driven-dynamics and shot kernels.
 
     python bench/layers.py --out BENCH.json [--sizes 128 1024] [--qubits 4 12]
-                           [--steps 1000 10000] [--repeats 7]
+                           [--steps 1000 10000] [--shots 100 5000] [--repeats 7]
 
 It imports the package from the src/ directory next to it.  At every grid
 size n it times kspace.texture_field on the n x n mesh,
@@ -16,7 +16,10 @@ persistent generator) and register.selective_rf_pulse (a pi pulse of amp
 0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  At every step count n it times
 dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
 of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
-omega 2).  Each kernel runs once to warm up and once more to size a batch of
+omega 2).  At every shot count n it times gatescript.run_script over n
+shots of the 12-qubit script that puts every qubit through H and then
+measures them all (seed 1), the widest outcome tree the register allows.
+Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
 time per call counts.  A kernel that raises NotConverged (the coarsest
@@ -60,6 +63,7 @@ from chiralqubit.dynamics import (  # noqa: E402
     drive_evolve,
     drive_propagator,
 )
+from chiralqubit.gatescript import MAX_SHOTS, parse_script, run_script  # noqa: E402
 from chiralqubit.kspace import GapParams, texture_field  # noqa: E402
 from chiralqubit.register import (  # noqa: E402
     MAX_QUBITS,
@@ -81,6 +85,8 @@ K_MAX = 8.0
 RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
 DRIVE, DRIVE_DT = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 0.005
 MIN_BATCH_S = 2e-3
+ALL_H = parse_script("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
+                     + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
 
 
 def _mesh_texture(n: int):
@@ -122,6 +128,11 @@ def drive_kernels(n: int) -> dict:
             lambda: drive_evolve(QubitState.minus(), DRIVE, n * DRIVE_DT, DRIVE_DT),
         "dynamics.drive_propagator": lambda: drive_propagator(DRIVE, n * DRIVE_DT, DRIVE_DT),
     }
+
+
+def shot_kernels(n: int) -> dict:
+    """Zero-argument call of the shot engine over n shots."""
+    return {"gatescript.run_script": lambda: run_script(ALL_H, seed=1, shots=n)}
 
 
 def _outcome(call) -> str:
@@ -180,6 +191,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 1024])
     parser.add_argument("--qubits", type=int, nargs="+", default=[4, 12])
     parser.add_argument("--steps", type=int, nargs="+", default=[1000, 10000])
+    parser.add_argument("--shots", type=int, nargs="+", default=[100, 5000])
     parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
     if args.repeats < 1 or min(args.sizes) < 32 or max(args.sizes) > MAX_GRID:
@@ -188,6 +200,8 @@ def main(argv=None) -> int:
         parser.error(f"every --qubits value must be in [2, {MAX_QUBITS}]")
     if not 1 <= min(args.steps) <= max(args.steps) <= MAX_STEPS:
         parser.error(f"every --steps value must be in [1, {MAX_STEPS}]")
+    if not 1 <= min(args.shots) <= max(args.shots) <= MAX_SHOTS:
+        parser.error(f"every --shots value must be in [1, {MAX_SHOTS}]")
 
     layers = []
     for n in args.sizes:
@@ -208,6 +222,11 @@ def main(argv=None) -> int:
             best, outcome = time_kernel(call, args.repeats)
             layers.append({"kernel": name, "n_steps": n, "best_s": best, "outcome": outcome})
             print(f"{name:28s} {n:7d} steps {best * 1e3:8.3f} ms  {outcome}")
+    for n in args.shots:
+        for name, call in shot_kernels(n).items():
+            best, outcome = time_kernel(call, args.repeats)
+            layers.append({"kernel": name, "n_shots": n, "best_s": best, "outcome": outcome})
+            print(f"{name:28s} {n:7d} shots {best * 1e3:8.3f} ms  {outcome}")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

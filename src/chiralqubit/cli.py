@@ -17,6 +17,7 @@ dynamics.MAX_STEPS = 10**6 steps; more is a config error (exit 1), or a
 script error (exit 5) from inside a chain script.  A chain may take at most
 gatescript.MAX_SHOTS = 10**6 shots and a chern grid at most
 chirality.MAX_GRID = 1024 points per side; more is a config error (exit 1).
+A CSV column that would hold NaN or inf is a config error (exit 1) too.
 """
 
 from __future__ import annotations
@@ -130,8 +131,10 @@ def _fmt(value) -> str:
 
 def _rows(header: str, *columns) -> list[str]:
     """CSV lines: the header, then one row per index across the columns, as _fmt writes them."""
-    values = [np.asarray(column, dtype=float).tolist() for column in columns]
-    return [header] + [",".join(map(repr, row)) for row in zip(*values)]
+    values = [np.asarray(column, dtype=float) for column in columns]
+    if not all(np.isfinite(column).all() for column in values):
+        raise ValueError(f"non-finite values in the {header} columns: inputs out of range")
+    return [header] + [",".join(map(repr, row)) for row in zip(*(v.tolist() for v in values))]
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:

@@ -72,6 +72,8 @@ def max_pair_number(params: MaterialParams, eps_ev: float) -> int:
     if not (eps_ev > 0.0 and math.isfinite(eps_ev)):
         raise ValueError(f"eps_ev must be finite and > 0, got {eps_ev!r}")
     ratio = params.gap_ev / eps_ev
+    if not math.isfinite(ratio):
+        raise ValueError(f"pair budget gap_ev / eps_ev = {params.gap_ev!r} / {eps_ev!r} overflows")
     # ratios within a part in 1e12 of an integer are snapped before flooring
     nearest = round(ratio)
     if nearest >= 1 and abs(ratio - nearest) <= 1e-12 * ratio:

@@ -76,7 +76,7 @@ class QubitState:
         object.__setattr__(self, "amp_minus", complex(self.amp_minus))
         object.__setattr__(self, "amp_plus", complex(self.amp_plus))
         norm_sq = abs(self.amp_minus) ** 2 + abs(self.amp_plus) ** 2
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"state not normalized: |amp|^2 = {norm_sq!r}")
 
     @classmethod
@@ -113,6 +113,8 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.abs(rho - rho.conj().T).max() > 1e-12:
             raise ValueError("density matrix not Hermitian within 1e-12")
         if abs(np.trace(rho) - 1.0) > 1e-12:

@@ -15,9 +15,11 @@ one qubit).  Execution starts from the all-|-1> product state with every
 link absent; the RF bias profile is a linear gradient eps_q =
 field_step * (q + 1) along the chain.
 
-Many-shot runs simulate each distinct outcome history once and replay only
-the Born draws: the cost of a run scales with its distinct histories, not
-with its shots, the cache memory is bounded by CACHE_BUDGET_AMPS, and the
+Many-shot runs draw every Born draw up front, one row of a (shots,
+MEASUREs) matrix per shot, and walk the outcome tree depth first: each
+distinct outcome history is simulated once for all the shots that share it.
+The cost of a run scales with its distinct histories, not with its shots; at
+most min(shots, MEASUREs + 1) states wait on the walk's stack; and the
 outcomes are byte-identical to replaying the whole script for every shot.
 """
 
@@ -30,10 +32,6 @@ import numpy as np
 from . import dynamics, register
 from .register import CouplingLink, FieldProfile, RegisterState
 
-# Amplitudes the prefix cache of one run may hold: 4 MiB of complex128, or 64
-# twelve-qubit states.  Past it, new outcome histories are computed from the
-# current state and not stored.
-CACHE_BUDGET_AMPS = 1 << 18
 MAX_SHOTS = 10**6  # shots one run may take; each keeps its outcome list in the run
 
 
@@ -154,7 +152,6 @@ class ScriptRun:
     instructions: list[Instruction]
     shot_outcomes: list[list[tuple[int, int]]]  # per shot: (qubit, outcome) in order
     final_state: RegisterState
-    cached_amps: int = 0  # amplitudes the prefix cache held at the end of the run
 
     def outcome_frequencies(self) -> dict[tuple[tuple[int, int], ...], float]:
         counts: dict[tuple[tuple[int, int], ...], int] = {}
@@ -163,16 +160,6 @@ class ScriptRun:
             counts[key] = counts.get(key, 0) + 1
         total = len(self.shot_outcomes)
         return {key: counts[key] / total for key in sorted(counts)}
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """Where a shot stands once it has run up to its next MEASURE."""
-
-    state: RegisterState
-    links: dict[tuple[int, int], CouplingLink]
-    at: int  # index of that MEASURE; len(instructions) when the script is done
-    p_plus: float | None  # Born probability of reading +1 there
 
 
 def run_script(
@@ -184,55 +171,44 @@ def run_script(
 ) -> ScriptRun:
     """Execute a parsed script; identical seeds give identical outcomes.
 
-    The measurement generator is seeded once and persists across shots, so a
-    run with S shots is reproducible as a whole.  Link switches are classical
-    settings replayed identically in every shot.
-
-    Every instruction but MEASURE is a deterministic function of the state
-    and the link settings, so a shot is fixed by its outcome history.  The
-    segment reached after each distinct history (state, links, next MEASURE
-    and its Born probability) is computed once and cached; each shot walks
-    the cache with one generator draw per MEASURE.  The cost of a run thus
-    scales with its distinct outcome histories, not with its shots, and the
-    outcomes and final state are bit-identical to replaying the script per
-    shot.  The cache holds at most CACHE_BUDGET_AMPS amplitudes; past that,
-    new histories are computed from the current state and not stored.
+    Shot s reads row s of one (shots, MEASUREs) matrix of generator draws:
+    the same doubles as drawing shot after shot.  Every instruction but
+    MEASURE is a deterministic function of the state and the (classical)
+    link settings, so a shot is fixed by its outcome history.  The outcome
+    tree is walked depth first: each node runs to its next MEASURE once for
+    all the shots sharing its history, and only branches some shot takes are
+    pushed.  Outcomes and the final state (the last shot's) are bit-identical
+    to replaying the script per shot.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
     n = infer_register_size(instructions)
-    rng = np.random.default_rng(seed)
+    measures = sum(instr.op == "MEASURE" for instr in instructions)
+    draws = np.random.default_rng(seed).random((shots, measures))
     profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
 
-    cache: dict[tuple[tuple[int, int], ...], _Segment] = {}
-    cached_amps = 0
-    shot_outcomes: list[list[tuple[int, int]]] = []
-    for _ in range(shots):
-        outcomes: list[tuple[int, int]] = []
-        parent = None
-        while True:
-            key = tuple(outcomes)
-            seg = cache.get(key)
-            if seg is None:
-                if parent is None:
-                    state, links, at = RegisterState.all_minus(n), {}, 0
-                else:
-                    state = register._project(parent.state, *outcomes[-1])
-                    links, at = parent.links, parent.at + 1
-                seg = _advance(instructions, at, state, links, profile, rf_dt)
-                if cached_amps + seg.state.amps.size <= CACHE_BUDGET_AMPS:
-                    cache[key] = seg
-                    cached_amps += seg.state.amps.size
-            if seg.p_plus is None:
-                break
-            q = instructions[seg.at].args[0]
-            outcomes.append((q, +1 if rng.random() < seg.p_plus else -1))
-            parent = seg
-        shot_outcomes.append(outcomes)
-    return ScriptRun(n, instructions, shot_outcomes, seg.state, cached_amps)
+    shot_outcomes: list = [None] * shots
+    # (state, links, next instruction, outcome history, shots sharing it)
+    pending = [(RegisterState.all_minus(n), {}, 0, (), np.arange(shots))]
+    while pending:
+        state, links, at, history, shared = pending.pop()
+        state, links, at = _advance(instructions, at, state, links, profile, rf_dt)
+        if at == len(instructions):
+            for s in shared.tolist():
+                shot_outcomes[s] = list(history)
+            if shared[-1] == shots - 1:
+                final_state = state
+            continue
+        q = instructions[at].args[0]
+        plus = draws[shared, len(history)] < state.probability_plus(q)
+        for value, taken in ((-1, ~plus), (+1, plus)):
+            if taken.any():
+                child = register._project(state, q, value)
+                pending.append((child, links, at + 1, history + ((q, value),), shared[taken]))
+    return ScriptRun(n, instructions, shot_outcomes, final_state)
 
 
-def _advance(instructions, at, state, links, profile, rf_dt) -> _Segment:
+def _advance(instructions, at, state, links, profile, rf_dt):
     """Run instructions from index `at` up to the next MEASURE or the end."""
     while at < len(instructions) and instructions[at].op != "MEASURE":
         instr = instructions[at]
@@ -243,8 +219,7 @@ def _advance(instructions, at, state, links, profile, rf_dt) -> _Segment:
         except (register.IndexOutOfRange, ValueError) as exc:
             raise ScriptError(instr.line_no, str(exc)) from exc
         at += 1
-    p_plus = state.probability_plus(instructions[at].args[0]) if at < len(instructions) else None
-    return _Segment(state, links, at, p_plus)
+    return state, links, at
 
 
 def _link_key(instr: Instruction, i: int, j: int) -> tuple[int, int]:

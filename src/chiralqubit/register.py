@@ -111,7 +111,7 @@ class RegisterState:
         if amps.shape != (2**self.n,):
             raise ValueError(f"amplitude vector must have length {2**self.n}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"amplitudes not normalized: |amps| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)

@@ -20,13 +20,15 @@ REGISTER_KERNELS = [
     "register.selective_rf_pulse",
 ]
 DRIVE_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator"]
+SHOT_KERNELS = ["gatescript.run_script"]
 
 
 def test_layer_timer_runs(tmp_path):
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(LAYERS), "--out", str(out),
-         "--sizes", "32", "64", "--qubits", "2", "3", "--steps", "1", "100", "--repeats", "1"],
+         "--sizes", "32", "64", "--qubits", "2", "3", "--steps", "1", "100", "--shots", "1", "10",
+         "--repeats", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -37,11 +39,13 @@ def test_layer_timer_runs(tmp_path):
     assert "OMP_NUM_THREADS" in report["machine"]["thread_env"]
     assert report["repeats"] == 1
     layers = report["layers"]
-    sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("n_steps"))
-             for row in layers]
-    assert sizes == [(kernel, n, None, None) for n in (32, 64) for kernel in GRID_KERNELS] + [
-        (kernel, None, n, None) for n in (2, 3) for kernel in REGISTER_KERNELS
-    ] + [(kernel, None, None, n) for n in (1, 100) for kernel in DRIVE_KERNELS]
+    sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("n_steps"),
+              row.get("n_shots")) for row in layers]
+    assert sizes == [(kernel, n, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS] + [
+        (kernel, None, n, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
+    ] + [(kernel, None, None, n, None) for n in (1, 100) for kernel in DRIVE_KERNELS] + [
+        (kernel, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
+    ]
     assert all(row["best_s"] > 0.0 for row in layers)
     # every grid kernel allocates its mesh, so its traced peak is positive
     assert all(row["peak_mb"] > 0.0 for row in layers if "n_grid" in row)

@@ -282,6 +282,19 @@ class TestDevice:
         code, _ = run_to_file(tmp_path, "device", "h_gauss = 0.0\n")
         assert code == 1
 
+    def test_overflowing_pair_budget_is_config_error(self, tmp_path):
+        # gap / eps = 1e308 / 1.4e-309 overflows to inf
+        config = write(tmp_path / "c.cfg", "gap_ev = 1e308\nh_gauss = 1e-300\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "chiralqubit.cli", "device", "--config", config],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: pair budget")
+
 
 class TestConfigParsing:
     def test_duplicate_key(self, tmp_path):
@@ -346,6 +359,21 @@ class TestOutputContract:
         )
         expected = ["h"] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
         assert cli._rows("h", *columns) == expected
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_row_writer_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._rows("a,b", [1.0, 2.0], [3.0, value])
+
+    @pytest.mark.parametrize("subcommand, config_text", [
+        ("beat", "delta = 1e308\n"),
+        ("rabi", "omega = 1e308\n"),
+    ])
+    def test_overflowing_trajectory_is_config_error(self, tmp_path, capsys, subcommand, config_text):
+        code, out = run_to_file(tmp_path, subcommand, config_text)
+        assert code == 1
+        assert not out.exists()
+        assert "non-finite values" in capsys.readouterr().err
 
 
 class TestParserReuse:

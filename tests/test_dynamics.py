@@ -59,6 +59,11 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(1.0, 1.0)
 
+    @pytest.mark.parametrize("amp", [math.nan, complex(math.nan, 0.0), math.inf])
+    def test_non_finite_rejected(self, amp):
+        with pytest.raises(ValueError, match="not normalized"):
+            QubitState(amp, 0.0)
+
     def test_population_diff(self):
         assert QubitState.plus().population_diff() == 1.0
         assert QubitState.minus().population_diff() == -1.0
@@ -253,6 +258,14 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[0.6, 0.0], [0.0, 0.6]]))
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, entry, value):
+        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        rho[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(rho)
 
     def test_purity(self):
         pure = DensityMatrix.from_state(QubitState.plus())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralqubit import gatescript, register
 from chiralqubit.dynamics import StepTooLarge
@@ -309,27 +311,96 @@ class TestShotCache:
             run = run_script(instructions, seed=seed, shots=shots)
             assert run.shot_outcomes == outcomes
             assert np.array_equal(run.final_state.amps, final.amps)
-            assert run.cached_amps <= gatescript.CACHE_BUDGET_AMPS
 
     @pytest.mark.parametrize("name", SHOT_CASES)
     def test_matches_per_shot_replay(self, name):
         self.check_against_replay(name)
 
-    @pytest.mark.parametrize("name", ["bell", "midcircuit", "rf"])
-    def test_no_store_path_matches_per_shot_replay(self, monkeypatch, name):
-        monkeypatch.setattr(gatescript, "CACHE_BUDGET_AMPS", 0)
-        self.check_against_replay(name, seeds=(4,))
+    @staticmethod
+    def count_advances(monkeypatch):
+        calls = []
+        advance = gatescript._advance
 
-    def test_budget_bounds_cache(self, monkeypatch):
-        instructions = parse_script(ALL_H_12)
-        run = run_script(instructions, seed=5, shots=100)
-        assert run.cached_amps == gatescript.CACHE_BUDGET_AMPS  # 64 twelve-qubit states
-        monkeypatch.setattr(gatescript, "CACHE_BUDGET_AMPS", 5 * 4096 + 1)
-        small = run_script(instructions, seed=5, shots=100)
-        assert small.cached_amps == 5 * 4096
-        assert small.shot_outcomes == run.shot_outcomes
-        assert np.array_equal(small.final_state.amps, run.final_state.amps)
+        def counted(*args):
+            calls.append(args[1])
+            return advance(*args)
 
-    def test_shots_share_one_simulation(self):
-        run = run_script(parse_script(BELL_SCRIPT), seed=1, shots=5000)
-        assert run.cached_amps == 5 * 4  # root, two one-outcome and two two-outcome histories
+        monkeypatch.setattr(gatescript, "_advance", counted)
+        return calls
+
+    def test_shots_share_one_simulation(self, monkeypatch):
+        calls = self.count_advances(monkeypatch)
+        run_script(parse_script(BELL_SCRIPT), seed=1, shots=5000)
+        assert len(calls) == 5  # root, two one-outcome and two two-outcome histories
+
+        calls.clear()
+        run = run_script(parse_script(ALL_H_12), seed=5, shots=100)
+        prefixes = {tuple(shot[:k]) for shot in run.shot_outcomes for k in range(13)}
+        assert len(calls) == len(prefixes)
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "GATE 0 H\nMEASURE 0\nRF 0 0.05 1.0\n",
+            "GATE 0 H\nGATE 1 H\nMEASURE 0\nGATE 1 X\nMEASURE 1\nRF 1 0.05 1.0\n",
+        ],
+    )
+    def test_error_after_measure_matches_replay(self, script):
+        instructions = parse_script(script)
+        with pytest.raises(Exception) as expected:
+            replay_every_shot(instructions, 3, 16, rf_dt=0.2)
+        with pytest.raises(Exception) as got:
+            run_script(instructions, seed=3, shots=16, rf_dt=0.2)
+        assert type(got.value) is type(expected.value) is StepTooLarge
+        assert str(got.value) == str(expected.value)
+
+    def test_no_measure_gives_empty_outcomes(self):
+        run = run_script(parse_script("GATE 0 H\nLINK 0 1 ON\nCNOT 0 1\n"), seed=0, shots=7)
+        assert run.shot_outcomes == [[]] * 7
+        assert len({id(outcomes) for outcomes in run.shot_outcomes}) == 7
+        assert np.allclose(run.final_state.probabilities(), [0.5, 0, 0, 0.5])
+
+
+@st.composite
+def small_scripts(draw):
+    """Scripts on at most 4 qubits; every XCHG/CNOT follows a LINK ON of its pair, RF all LINK OFFs."""
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    ops = ["RESET", "GATE", "MEASURE", "RF"] + (["XCHG", "CNOT", "LINK"] if n > 1 else [])
+    on, lines = set(), []
+    for op in draw(st.lists(st.sampled_from(ops), max_size=12)):
+        if op == "RESET":
+            lines.append(f"RESET {draw(qubit)} {draw(st.sampled_from(['+1', '-1']))}")
+        elif op == "GATE":
+            lines.append(f"GATE {draw(qubit)} {draw(st.sampled_from(sorted(register.NAMED_GATES)))}")
+        elif op == "MEASURE":
+            lines.append(f"MEASURE {draw(qubit)}")
+        elif op == "RF":
+            lines += [f"LINK {i} {i + 1} OFF" for i in sorted(on)]
+            on.clear()
+            amp = draw(st.sampled_from([0.0, 0.05, 0.1]))
+            lines.append(f"RF {draw(qubit)} {amp} {draw(st.sampled_from([0.5, 1.0]))}")
+        else:
+            i = draw(st.integers(0, n - 2))
+            if op == "LINK":
+                lines.append(f"LINK {i} {i + 1} OFF")
+                on.discard(i)
+                continue
+            lines.append(f"LINK {i} {i + 1} ON")
+            on.add(i)
+            if op == "XCHG":
+                lines.append(f"XCHG {i} {i + 1} {draw(st.floats(0.0, 2 * math.pi))!r}")
+            else:
+                c, t = draw(st.permutations([i, i + 1]))
+                lines.append(f"CNOT {c} {t}")
+    return "\n".join(lines + [f"MEASURE {draw(qubit)}"]) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(script=small_scripts(), seed=st.integers(0, 2**64 - 1), shots=st.integers(1, 64))
+def test_random_scripts_match_per_shot_replay(script, seed, shots):
+    instructions = parse_script(script)
+    outcomes, final = replay_every_shot(instructions, seed, shots)
+    run = run_script(instructions, seed=seed, shots=shots)
+    assert run.shot_outcomes == outcomes
+    assert np.array_equal(run.final_state.amps, final.amps)

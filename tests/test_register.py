@@ -76,6 +76,11 @@ class TestRegisterState:
         with pytest.raises(ValueError):
             RegisterState(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[math.nan, 1.0], [math.inf, 0.0], [math.nan, math.inf]])
+    def test_non_finite_rejected(self, amps):
+        with pytest.raises(ValueError, match="not normalized"):
+            RegisterState(1, np.array(amps))
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             RegisterState.all_minus(13)
