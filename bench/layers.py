@@ -18,13 +18,15 @@ dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
 of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
 omega 2).  At every shot count n it times gatescript.run_script over n
 shots of the 12-qubit script that puts every qubit through H and then
-measures them all (seed 1), the widest outcome tree the register allows.
+measures them all (seed 1), the widest outcome tree the register allows, and
+cli.run_chain on the same script, read from a temporary file, with the chain
+defaults: the shot engine plus the chain's output lines.
 Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
 time per call counts.  A kernel that raises NotConverged (the coarsest
-grids) is timed all the same and its outcome says so.  Each grid kernel
-runs once more, untimed, under tracemalloc, and its row records that
+grids) is timed all the same and its outcome says so.  Each grid and shot
+kernel runs once more, untimed, under tracemalloc, and its row records that
 call's peak of traced allocations as peak_mb (numpy arrays included).
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy,
@@ -40,6 +42,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -56,6 +59,7 @@ from chiralqubit.chirality import (  # noqa: E402
     chern_quadrature,
     cross_validate,
 )
+from chiralqubit.cli import _load_config, run_chain  # noqa: E402
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
     QubitState,
@@ -85,8 +89,9 @@ K_MAX = 8.0
 RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
 DRIVE, DRIVE_DT = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 0.005
 MIN_BATCH_S = 2e-3
-ALL_H = parse_script("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
-                     + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
+ALL_H_TEXT = ("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
+              + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
+ALL_H = parse_script(ALL_H_TEXT)
 
 
 def _mesh_texture(n: int):
@@ -130,9 +135,13 @@ def drive_kernels(n: int) -> dict:
     }
 
 
-def shot_kernels(n: int) -> dict:
-    """Zero-argument call of the shot engine over n shots."""
-    return {"gatescript.run_script": lambda: run_script(ALL_H, seed=1, shots=n)}
+def shot_kernels(n: int, script_path: str) -> dict:
+    """Zero-argument calls of the shot engine and the chain subcommand over n shots."""
+    config = {**_load_config("chain", None), "script_path": script_path, "seed": 1, "shots": n}
+    return {
+        "gatescript.run_script": lambda: run_script(ALL_H, seed=1, shots=n),
+        "cli.run_chain": lambda: run_chain(config),
+    }
 
 
 def _outcome(call) -> str:
@@ -222,11 +231,16 @@ def main(argv=None) -> int:
             best, outcome = time_kernel(call, args.repeats)
             layers.append({"kernel": name, "n_steps": n, "best_s": best, "outcome": outcome})
             print(f"{name:28s} {n:7d} steps {best * 1e3:8.3f} ms  {outcome}")
-    for n in args.shots:
-        for name, call in shot_kernels(n).items():
-            best, outcome = time_kernel(call, args.repeats)
-            layers.append({"kernel": name, "n_shots": n, "best_s": best, "outcome": outcome})
-            print(f"{name:28s} {n:7d} shots {best * 1e3:8.3f} ms  {outcome}")
+    with tempfile.TemporaryDirectory() as tmp:
+        script_path = Path(tmp, "all_h.gates")
+        script_path.write_text(ALL_H_TEXT, encoding="utf-8")
+        for n in args.shots:
+            for name, call in shot_kernels(n, str(script_path)).items():
+                best, outcome = time_kernel(call, args.repeats)
+                peak = peak_mb(call)
+                layers.append({"kernel": name, "n_shots": n, "best_s": best, "peak_mb": peak,
+                               "outcome": outcome})
+                print(f"{name:28s} {n:7d} shots {best * 1e3:8.3f} ms  {peak:7.2f} MB  {outcome}")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

@@ -74,13 +74,17 @@ _SCHEMAS = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_text(path: str, what: str) -> str:
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _read_config_file(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path, "config").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -239,19 +243,10 @@ def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
             + f"> {_fmt(p)}" for index, p in zip(kept.tolist(), probs[kept].tolist())]
 
 
-def _outcome_tokens(outcomes: list[tuple[int, int]]) -> str:
-    if not outcomes:
-        return "none"
-    return " ".join(f"{q}:{value:+d}" for q, value in outcomes)
-
-
 def run_chain(config: dict) -> list[str]:
     if config["script_path"] is None:
         raise ConfigError("chain needs a script_path key in the config")
-    try:
-        text = open(config["script_path"], encoding="utf-8").read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read script {config['script_path']!r}: {exc}") from exc
+    text = _read_text(config["script_path"], "script")
     if not 1 <= config["shots"] <= gatescript.MAX_SHOTS:
         raise ConfigError(f"shots must be in [1, {gatescript.MAX_SHOTS}], got {config['shots']}")
     instructions = gatescript.parse_script(text)
@@ -262,19 +257,21 @@ def run_chain(config: dict) -> list[str]:
         field_step=config["epsilon"],
         rf_dt=config["dt"],
     )
+    # one "q:+1 q:-1 ..." token string per distinct history
+    tokens = [" ".join(f"{q}:{value:+d}" for q, value in history) or "none"
+              for history in run.histories]
     lines = [
-        f"# chain n={run.n} shots={config['shots']} seed={config['seed']} "
+        f"# chain n={run.final_state.n} shots={config['shots']} seed={config['seed']} "
         f"field_step={_fmt(config['epsilon'])} dt={_fmt(config['dt'])}"
     ]
-    for instr in run.instructions:
-        lines.append(f"instr {instr.line_no} {instr.text}")
-    for k, outcomes in enumerate(run.shot_outcomes, start=1):
-        lines.append(f"shot {k} measurements: {_outcome_tokens(outcomes)}")
+    lines += [f"instr {instr.line_no} {instr.text}" for instr in instructions]
+    lines += [f"shot {k} measurements: {tokens[i]}"
+              for k, i in enumerate(run.shot_history.tolist(), start=1)]
     lines.append("outcome frequencies:")
-    for key, freq in run.outcome_frequencies().items():
-        lines.append(f"{_outcome_tokens(list(key))} -> {_fmt(freq)}")
+    lines += [f"{token} -> {_fmt(freq)}"
+              for token, freq in zip(tokens, run.outcome_frequencies().values())]
     lines.append("final probabilities:")
-    return lines + _probability_lines(run.final_state.probabilities(), run.n)
+    return lines + _probability_lines(run.final_state.probabilities(), run.final_state.n)
 
 
 def run_device(config: dict) -> list[str]:

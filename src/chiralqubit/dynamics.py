@@ -148,7 +148,8 @@ def _propagator(e0, x, z, t) -> np.ndarray:
     # divide the reals before forming the matrix: stable down to subnormal omega,
     # and omega = 0 gives the identity without a branch
     safe = np.where(omega == 0.0, 1.0, omega)
-    cos, sin = np.cos(omega * t), np.sin(omega * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN entries
+        cos, sin = np.cos(omega * t), np.sin(omega * t)
     u = np.empty(omega.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = cos + 1j * sin * (z / safe)
     u[..., 1, 1] = cos - 1j * sin * (z / safe)
@@ -273,15 +274,18 @@ def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps, block=MAX_STE
 
     A step freezes e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) - delta)*sigma_x at
     its midpoint and exponentiates it exactly: unitary to rounding for any dt, while dt bounds
-    the midpoint error (StepTooLarge, checked at the call).  A block is (..., steps, 2, 2), one
-    row per bias of an `eps` of shape (..., 1), or a float; it stands for params.epsilon.
+    the midpoint error (StepTooLarge, checked before the first block).  A block is
+    (..., steps, 2, 2), one row per bias of an `eps` of shape (..., 1), or a float; `eps`
+    stands for params.epsilon.
     """
     _require_closed(params, allow_drive=True)
     _check_step(dt, abs(params.e0) + math.hypot(np.abs(eps).max(), params.delta + params.drive_amp))
     n = _n_steps(t, dt)
-    mids = ((np.arange(k, min(n, k + block)) + 0.5) * dt for k in range(0, n, block))
-    xs = (-params.delta + params.drive_amp * np.cos(params.drive_freq * mid) for mid in mids)
-    return (_propagator(params.e0, x, eps, dt) for x in xs)
+    for k in range(0, n, block):
+        mid = (np.arange(k, min(n, k + block)) + 0.5) * dt
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN steps
+            x = -params.delta + params.drive_amp * np.cos(params.drive_freq * mid)
+        yield _propagator(params.e0, x, eps, dt)
 
 
 def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -21,6 +21,7 @@ distinct outcome history is simulated once for all the shots that share it.
 The cost of a run scales with its distinct histories, not with its shots; at
 most min(shots, MEASUREs + 1) states wait on the walk's stack; and the
 outcomes are byte-identical to replaying the whole script for every shot.
+A run keeps each distinct history once, and one 8-byte history index per shot.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import dynamics, register
 from .register import CouplingLink, FieldProfile, RegisterState
 
-MAX_SHOTS = 10**6  # shots one run may take; each keeps its outcome list in the run
+MAX_SHOTS = 10**6  # shots one run may take; each keeps an 8-byte history index in the run
 
 
 class ScriptError(ValueError):
@@ -148,18 +149,13 @@ def infer_register_size(instructions: list[Instruction]) -> int:
 
 @dataclass
 class ScriptRun:
-    n: int
-    instructions: list[Instruction]
-    shot_outcomes: list[list[tuple[int, int]]]  # per shot: (qubit, outcome) in order
+    histories: list[tuple[tuple[int, int], ...]]  # distinct (qubit, outcome) histories, sorted
+    shot_history: np.ndarray  # per shot: the index of its history
     final_state: RegisterState
 
     def outcome_frequencies(self) -> dict[tuple[tuple[int, int], ...], float]:
-        counts: dict[tuple[tuple[int, int], ...], int] = {}
-        for outcomes in self.shot_outcomes:
-            key = tuple(outcomes)
-            counts[key] = counts.get(key, 0) + 1
-        total = len(self.shot_outcomes)
-        return {key: counts[key] / total for key in sorted(counts)}
+        counts = np.bincount(self.shot_history)
+        return dict(zip(self.histories, (counts / len(self.shot_history)).tolist()))
 
 
 def run_script(
@@ -177,8 +173,9 @@ def run_script(
     link settings, so a shot is fixed by its outcome history.  The outcome
     tree is walked depth first: each node runs to its next MEASURE once for
     all the shots sharing its history, and only branches some shot takes are
-    pushed.  Outcomes and the final state (the last shot's) are bit-identical
-    to replaying the script per shot.
+    walked, -1 before +1.  Every history passes the same MEASUREs, so the
+    leaves give the distinct histories in sorted order.  Outcomes and the final
+    state (the last shot's) are bit-identical to replaying the script per shot.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots}")
@@ -187,25 +184,26 @@ def run_script(
     draws = np.random.default_rng(seed).random((shots, measures))
     profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
 
-    shot_outcomes: list = [None] * shots
+    histories: list = []
+    shot_history = np.empty(shots, dtype=np.int64)
     # (state, links, next instruction, outcome history, shots sharing it)
     pending = [(RegisterState.all_minus(n), {}, 0, (), np.arange(shots))]
     while pending:
         state, links, at, history, shared = pending.pop()
         state, links, at = _advance(instructions, at, state, links, profile, rf_dt)
         if at == len(instructions):
-            for s in shared.tolist():
-                shot_outcomes[s] = list(history)
+            shot_history[shared] = len(histories)
+            histories.append(history)
             if shared[-1] == shots - 1:
                 final_state = state
             continue
         q = instructions[at].args[0]
         plus = draws[shared, len(history)] < state.probability_plus(q)
-        for value, taken in ((-1, ~plus), (+1, plus)):
+        for value, taken in ((+1, plus), (-1, ~plus)):  # -1 is pushed last, popped first
             if taken.any():
                 child = register._project(state, q, value)
                 pending.append((child, links, at + 1, history + ((q, value),), shared[taken]))
-    return ScriptRun(n, instructions, shot_outcomes, final_state)
+    return ScriptRun(histories, shot_history, final_state)
 
 
 def _advance(instructions, at, state, links, profile, rf_dt):

@@ -20,7 +20,7 @@ REGISTER_KERNELS = [
     "register.selective_rf_pulse",
 ]
 DRIVE_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator"]
-SHOT_KERNELS = ["gatescript.run_script"]
+SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
 
 
 def test_layer_timer_runs(tmp_path):
@@ -47,8 +47,9 @@ def test_layer_timer_runs(tmp_path):
         (kernel, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
     ]
     assert all(row["best_s"] > 0.0 for row in layers)
-    # every grid kernel allocates its mesh, so its traced peak is positive
-    assert all(row["peak_mb"] > 0.0 for row in layers if "n_grid" in row)
+    # every grid kernel allocates its mesh and every shot kernel its draws, so their traced
+    # peaks are positive
+    assert all(row["peak_mb"] > 0.0 for row in layers if "n_grid" in row or "n_shots" in row)
     # 64^2 resolves the configs/chern.cfg point with both estimators
     assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
     assert all(row["outcome"] == "ok" for row in layers if "n_grid" not in row)

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralqubit import chirality, cli, gatescript
 from chiralqubit.cli import main
@@ -370,10 +376,62 @@ class TestOutputContract:
         ("rabi", "omega = 1e308\n"),
     ])
     def test_overflowing_trajectory_is_config_error(self, tmp_path, capsys, subcommand, config_text):
-        code, out = run_to_file(tmp_path, subcommand, config_text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_to_file(tmp_path, subcommand, config_text)
         assert code == 1
         assert not out.exists()
-        assert "non-finite values" in capsys.readouterr().err
+        assert caught == []  # a numpy warning would print before the error line
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite values" in err
+
+
+_QUBIT_TOKEN = st.integers(0, 3).map(str)  # at most 4 qubits
+_LINK_TOKENS = st.integers(0, 2).map(lambda i: f"{i} {i + 1}")
+_SCRIPT_LINE = st.one_of(
+    st.tuples(st.just("RESET"), _QUBIT_TOKEN, st.sampled_from(["+1", "-1"])).map(" ".join),
+    st.tuples(st.just("GATE"), _QUBIT_TOKEN, st.sampled_from(["I", "X", "y", "Z", "H"])).map(" ".join),
+    st.tuples(_LINK_TOKENS, st.sampled_from(["ON", "OFF"])).map(lambda t: f"LINK {t[0]} {t[1]}"),
+    st.tuples(_LINK_TOKENS, st.floats(0.0, 7.0)).map(
+        lambda t: f"LINK {t[0]} ON\nXCHG {t[0]} {t[1]!r}"),
+    _LINK_TOKENS.map(lambda pair: f"LINK {pair} ON\nCNOT {pair}"),
+    st.tuples(_QUBIT_TOKEN, st.sampled_from(["0.1", "0"]), st.sampled_from(["1.0", "0.5"])).map(
+        lambda t: "RF " + " ".join(t)),  # durations <= 1
+    _QUBIT_TOKEN.map("MEASURE {}".format),
+    # malformed: a bad argument, a wrong arity, an unknown op, stray tokens
+    st.sampled_from(["RESET 0 0", "GATE 1 T", "LINK 0 2 ON", "LINK 0 1 UP", "XCHG 0 1 nan",
+                     "XCHG 1 0 -1", "CNOT 1 1", "CNOT 0 1", "RF 0 0.1 -1", "RF 0 0.1",
+                     "MEASURE", "MEASURE -1", "MEASURE 1e400", "FROB 1", "0 MEASURE"]),
+)
+
+
+class TestChainFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(_SCRIPT_LINE, max_size=10), shots=st.integers(1, 64),
+           seed=st.integers(0, 2**64 - 1), dt=st.sampled_from(["0.01", "0.5"]))
+    def test_chain_exits_cleanly(self, lines, shots, seed, dt):
+        with tempfile.TemporaryDirectory() as tmp:
+            script = write(Path(tmp, "fuzz.gates"), "\n".join(lines) + "\n")
+            config = write(Path(tmp, "c.cfg"),
+                           f"script_path = {script}\nshots = {shots}\ndt = {dt}\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["chain", "--config", config, "--seed", str(seed)])
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in range(7) and "Traceback" not in err
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert err == ""
+        printed = out.splitlines()
+        shot_lines = [line for line in printed if line.startswith("shot ")]
+        assert [line.split()[1] for line in shot_lines] == [str(k) for k in range(1, shots + 1)]
+        table = printed[printed.index("outcome frequencies:") + 1:printed.index("final probabilities:")]
+        freqs = dict(line.rsplit(" -> ", 1) for line in table)
+        assert {line.split("measurements: ", 1)[1] for line in shot_lines} <= set(freqs)
+        assert abs(sum(map(float, freqs.values())) - 1.0) <= 1e-12
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,16 +136,21 @@ class TestParseMessages:
         ]
 
 
+def shot_outcomes(run):
+    """Per shot, its (qubit, outcome) list: the run's histories fanned out by its shot index."""
+    return [list(run.histories[i]) for i in run.shot_history]
+
+
 class TestExecution:
     def test_swap_script_outcomes(self):
         run = run_script(parse_script(SWAP_SCRIPT), seed=9)
-        assert run.shot_outcomes == [[(0, -1), (1, +1)]]
+        assert shot_outcomes(run) == [[(0, -1), (1, +1)]]
 
     def test_empty_script_reports_all_minus(self):
         run = run_script([], seed=0)
-        assert run.n == 1
+        assert run.final_state.n == 1
         assert run.final_state.probabilities()[0] == 1.0
-        assert run.shot_outcomes == [[]]
+        assert shot_outcomes(run) == [[]]
 
     def test_shots_above_cap_rejected_before_any_shot(self, monkeypatch):
         def no_measure(*args):
@@ -180,13 +186,12 @@ class TestExecution:
         duration = math.pi / amp
         text = f"RF 0 {amp} {duration}\nMEASURE 0\nMEASURE 1\n"
         run = run_script(parse_script(text), seed=3, field_step=1.0, rf_dt=0.005)
-        assert run.shot_outcomes[0][0] == (0, +1)
-        assert run.shot_outcomes[0][1] == (1, -1)
+        assert shot_outcomes(run) == [[(0, +1), (1, -1)]]
 
     def test_cnot_sequence(self):
         text = "RESET 0 +1\nLINK 0 1 ON\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n"
         run = run_script(parse_script(text), seed=0)
-        assert run.shot_outcomes == [[(0, +1), (1, +1)]]
+        assert shot_outcomes(run) == [[(0, +1), (1, +1)]]
 
     def test_nonadjacent_link_rejected(self):
         for text in ("LINK 0 2 ON\n", "LINK 0 1 ON\nXCHG 0 0 1.0\n", "LINK 0 1 ON\nCNOT 0 0\n"):
@@ -209,12 +214,12 @@ class TestExecution:
         script = parse_script(BELL_SCRIPT)
         a = run_script(script, seed=99, shots=64)
         b = run_script(script, seed=99, shots=64)
-        assert a.shot_outcomes == b.shot_outcomes
+        assert shot_outcomes(a) == shot_outcomes(b)
         assert np.array_equal(a.final_state.amps, b.final_state.amps)
 
     def test_gate_instruction(self):
         run = run_script(parse_script("GATE 0 X\nMEASURE 0\n"), seed=0)
-        assert run.shot_outcomes == [[(0, +1)]]
+        assert shot_outcomes(run) == [[(0, +1)]]
 
 
 def _ghz(n: int) -> str:
@@ -273,7 +278,7 @@ def replay_every_shot(instructions, seed, shots, field_step=1.0, rf_dt=0.01):
     n = infer_register_size(instructions)
     rng = np.random.default_rng(seed)
     profile = FieldProfile(tuple(field_step * (q + 1) for q in range(n)))
-    shot_outcomes = []
+    per_shot = []
     for _ in range(shots):
         state = RegisterState.all_minus(n)
         links = {}
@@ -297,8 +302,8 @@ def replay_every_shot(instructions, seed, shots, field_step=1.0, rf_dt=0.01):
             elif op == "MEASURE":
                 outcome, state = register.measure(state, args[0], rng)
                 outcomes.append((args[0], outcome))
-        shot_outcomes.append(outcomes)
-    return shot_outcomes, state
+        per_shot.append(outcomes)
+    return per_shot, state
 
 
 class TestShotCache:
@@ -309,12 +314,33 @@ class TestShotCache:
         for seed in seeds or case_seeds:
             outcomes, final = replay_every_shot(instructions, seed, shots)
             run = run_script(instructions, seed=seed, shots=shots)
-            assert run.shot_outcomes == outcomes
+            assert shot_outcomes(run) == outcomes
             assert np.array_equal(run.final_state.amps, final.amps)
 
     @pytest.mark.parametrize("name", SHOT_CASES)
     def test_matches_per_shot_replay(self, name):
         self.check_against_replay(name)
+
+    @pytest.mark.parametrize("name", SHOT_CASES)
+    def test_histories_sorted_and_each_used(self, name):
+        script, shots, seeds = SHOT_CASES[name]
+        run = run_script(parse_script(script), seed=seeds[0], shots=shots)
+        assert run.shot_history.shape == (shots,)
+        assert np.issubdtype(run.shot_history.dtype, np.integer)
+        assert all(a < b for a, b in zip(run.histories, run.histories[1:]))
+        counts = np.bincount(run.shot_history)
+        assert len(counts) == len(run.histories) and (counts > 0).all()
+
+    def test_run_holds_at_most_16_bytes_per_shot(self):
+        instructions = parse_script(BELL_SCRIPT)
+        tracemalloc.start()
+        try:
+            run = run_script(instructions, seed=1, shots=gatescript.MAX_SHOTS)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(run.histories) == 2 and len(run.shot_history) == gatescript.MAX_SHOTS
+        assert held <= 16 * gatescript.MAX_SHOTS
 
     @staticmethod
     def count_advances(monkeypatch):
@@ -335,7 +361,7 @@ class TestShotCache:
 
         calls.clear()
         run = run_script(parse_script(ALL_H_12), seed=5, shots=100)
-        prefixes = {tuple(shot[:k]) for shot in run.shot_outcomes for k in range(13)}
+        prefixes = {tuple(shot[:k]) for shot in shot_outcomes(run) for k in range(13)}
         assert len(calls) == len(prefixes)
 
     @pytest.mark.parametrize(
@@ -356,8 +382,7 @@ class TestShotCache:
 
     def test_no_measure_gives_empty_outcomes(self):
         run = run_script(parse_script("GATE 0 H\nLINK 0 1 ON\nCNOT 0 1\n"), seed=0, shots=7)
-        assert run.shot_outcomes == [[]] * 7
-        assert len({id(outcomes) for outcomes in run.shot_outcomes}) == 7
+        assert shot_outcomes(run) == [[]] * 7
         assert np.allclose(run.final_state.probabilities(), [0.5, 0, 0, 0.5])
 
 
@@ -402,5 +427,5 @@ def test_random_scripts_match_per_shot_replay(script, seed, shots):
     instructions = parse_script(script)
     outcomes, final = replay_every_shot(instructions, seed, shots)
     run = run_script(instructions, seed=seed, shots=shots)
-    assert run.shot_outcomes == outcomes
+    assert shot_outcomes(run) == outcomes
     assert np.array_equal(run.final_state.amps, final.amps)
