@@ -4,7 +4,8 @@
                            [--steps 1000 10000] [--shots 100 5000] [--repeats 7]
 
 It imports the package from the src/ directory next to it.  At every grid
-size n it times kspace.texture_field on the n x n mesh,
+size n it times kspace.texture_field on one row block of the n x n mesh
+(max(1, chirality.BLOCK // n) rows, the block the estimators request),
 chirality.chern_quadrature, chirality.chern_plaquette, and
 chirality.cross_validate held to that one grid (n_grid_start = n_grid_max =
 n), all at the point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
@@ -52,6 +53,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chiralqubit.chirality import (  # noqa: E402
+    BLOCK,
     MAX_GRID,
     NotConverged,
     _mesh,
@@ -94,13 +96,14 @@ ALL_H_TEXT = ("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
 ALL_H = parse_script(ALL_H_TEXT)
 
 
-def _mesh_texture(n: int):
+def _block_texture(n: int):
+    """The texture of one row block, the shape the estimators request of texture_field."""
     x, _ = _mesh(K_MAX, n)
-    return texture_field(x[:, None], x[None, :], PARAMS)
+    return texture_field(x[:max(1, BLOCK // n), None], x[None, :], PARAMS)
 
 
 GRID_KERNELS = {
-    "kspace.texture_field": _mesh_texture,
+    "kspace.texture_field": _block_texture,
     "chirality.chern_quadrature": lambda n: chern_quadrature(PARAMS, K_MAX, n),
     "chirality.chern_plaquette": lambda n: chern_plaquette(PARAMS, K_MAX, n),
     "chirality.cross_validate": lambda n: cross_validate(PARAMS, K_MAX, n, n),

@@ -33,16 +33,7 @@ from .dynamics import (
     evolve_damped,
 )
 from .gatescript import Instruction, ScriptError, ScriptRun, parse_script, run_script
-from .kspace import (
-    GapParams,
-    MVector,
-    NonpositiveMu,
-    ZeroTexture,
-    d_z,
-    dispersion,
-    m_hat,
-    m_vector,
-)
+from .kspace import GapParams, NonpositiveMu, d_z
 from .register import (
     CouplingLink,
     FieldProfile,

@@ -23,6 +23,7 @@ A CSV column that would hold NaN or inf is a config error (exit 1) too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -68,9 +69,9 @@ _SCHEMAS = {
              "dt": (float, 0.005)},
     "chain": {"script_path": (str, None), "seed": (int, 0), "shots": (int, 1),
               "epsilon": (float, 1.0), "dt": (float, 0.01)},
-    "device": {"h_gauss": (float, 1.0), "gap_ev": (float, 5.0e-4), "mass_ratio": (float, 4.0),
-               "cell_volume_a3": (float, 100.0), "lambda_l_a": (float, 2000.0),
-               "film_thickness_a": (float, 100.0)},
+    # the material keys are MaterialParams' fields, with its defaults
+    "device": {"h_gauss": (float, 1.0), **{field.name: (float, field.default)
+                                           for field in dataclasses.fields(MaterialParams)}},
 }
 
 
@@ -191,21 +192,8 @@ def run_chern(config: dict) -> list[str]:
     return lines
 
 
-def _closed_rows(params: TwoLevelParams, t_max: float, dt: float) -> list[str]:
-    times = np.arange(_sample_count(t_max, dt) + 1) * dt
-    # column |+1> of the exact propagator at every sample time
-    amps = dynamics._propagator(params.e0, -params.delta, params.epsilon, times)[:, :, 1]
-    return _population_rows(times, amps)
-
-
-def _population_rows(times: np.ndarray, amps: np.ndarray) -> list[str]:
-    p_plus, p_minus = np.abs(amps[:, 1]) ** 2, np.abs(amps[:, 0]) ** 2
-    return _rows("t,p_diff,pop_plus,pop_minus", times, p_plus - p_minus, p_plus, p_minus)
-
-
 def run_beat(config: dict) -> list[str]:
-    params = TwoLevelParams(e0=config["e0"], delta=config["delta"], epsilon=config["epsilon"])
-    return _closed_rows(params, config["t_max"], config["dt"])
+    return run_rabi({**config, "amp": 0.0, "omega": 0.0})
 
 
 def run_damp(config: dict) -> list[str]:
@@ -228,12 +216,9 @@ def run_rabi(config: dict) -> list[str]:
         drive_amp=config["amp"], drive_freq=config["omega"],
     )
     _sample_count(config["t_max"], config["dt"])
-    if params.drive_amp == 0.0:
-        # no drive: use the exact closed propagator, matching `beat` bit for bit
-        closed = TwoLevelParams(e0=params.e0, delta=params.delta, epsilon=params.epsilon)
-        return _closed_rows(closed, config["t_max"], config["dt"])
     times, amps = dynamics.drive_evolve(QubitState.plus(), params, config["t_max"], config["dt"])
-    return _population_rows(times, amps)
+    p_plus, p_minus = np.abs(amps[:, 1]) ** 2, np.abs(amps[:, 0]) ** 2
+    return _rows("t,p_diff,pop_plus,pop_minus", times, p_plus - p_minus, p_plus, p_minus)
 
 
 def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
@@ -275,11 +260,8 @@ def run_chain(config: dict) -> list[str]:
 
 
 def run_device(config: dict) -> list[str]:
-    params = MaterialParams(
-        gap_ev=config["gap_ev"], mass_ratio=config["mass_ratio"],
-        cell_volume_a3=config["cell_volume_a3"], lambda_l_a=config["lambda_l_a"],
-        film_thickness_a=config["film_thickness_a"],
-    )
+    params = MaterialParams(**{field.name: config[field.name]
+                               for field in dataclasses.fields(MaterialParams)})
     report = device.sizing_report(params, config["h_gauss"])
     geo = report.geometry
     flag = "yes" if geo.within_lambda else "no"

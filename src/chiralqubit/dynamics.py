@@ -11,10 +11,11 @@ the tuning bias that lifts their degeneracy.  Environment coupling is reduced
 to a single pure-dephasing rate gamma (jump operator sigma_z); the rate damps
 the beating but does not shift delta.  Every evolution is built from one
 exact 2x2 exponential, `_propagator`, evaluated on arrays of steps or times,
-so norm and trace are preserved unconditionally.  A driven trajectory takes
-every prefix product of its steps (log-depth scan), a driven propagator only
-the total (pairwise, in blocks of STEP_BLOCK steps, all RF biases at once);
-damped steps by doubling powers of one Strang superoperator; no Python step loops.
+so norm and trace are preserved unconditionally.  An undriven trajectory
+samples `_propagator` at every time; a driven trajectory takes every prefix
+product of its steps (log-depth scan), a driven propagator only the total
+(pairwise, in blocks of STEP_BLOCK steps, all RF biases at once); damped
+steps by doubling powers of one Strang superoperator; no Python step loops.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def evolve_damped(
     return np.arange(n + 1) * dt, out.reshape(n + 1, 2, 2)
 
 
-def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps, block=MAX_STEPS):
-    """Step unitaries of the RF-driven qubit over [0, t] in time-ordered blocks of <= block steps.
+def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps):
+    """Step unitaries of the RF-driven qubit over [0, t] in time-ordered blocks of STEP_BLOCK steps.
 
     A step freezes e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) - delta)*sigma_x at
     its midpoint and exponentiates it exactly: unitary to rounding for any dt, while dt bounds
@@ -281,8 +282,8 @@ def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps, block=MAX_STE
     _require_closed(params, allow_drive=True)
     _check_step(dt, abs(params.e0) + math.hypot(np.abs(eps).max(), params.delta + params.drive_amp))
     n = _n_steps(t, dt)
-    for k in range(0, n, block):
-        mid = (np.arange(k, min(n, k + block)) + 0.5) * dt
+    for k in range(0, n, STEP_BLOCK):
+        mid = (np.arange(k, min(n, k + STEP_BLOCK)) + 0.5) * dt
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN steps
             x = -params.delta + params.drive_amp * np.cos(params.drive_freq * mid)
         yield _propagator(params.e0, x, eps, dt)
@@ -322,7 +323,7 @@ def _drive_propagators(params: TwoLevelParams, t: float, dt: float, epsilon) -> 
     """drive_propagator for each bias of the 1-D `epsilon`, which replaces params.epsilon."""
     eps = np.asarray(epsilon, dtype=float)
     total = np.tile(IDENTITY, (len(eps), 1, 1))
-    for steps in _drive_steps(params, t, dt, eps[:, None], STEP_BLOCK):
+    for steps in _drive_steps(params, t, dt, eps[:, None]):
         total = _mul(_total_product(steps), total)  # block totals in time order
     return total
 
@@ -339,8 +340,14 @@ def drive_evolve(
 
     amplitudes has shape (n_samples, 2) over the (|-1>, |+1>) basis.  At
     resonance drive_freq = 2*sqrt(delta^2 + epsilon^2) and weak drive the
-    populations Rabi-cycle with angular rate drive_amp.
+    populations Rabi-cycle with angular rate drive_amp.  With drive_amp = 0
+    every sample is the exact closed propagator at its time applied to the
+    state; that path has no step bound, since dt does not enter the result.
     """
+    if params.drive_amp == 0.0:
+        _require_closed(params)
+        times = np.arange(_n_steps(t, dt) + 1) * dt
+        return times, _propagator(params.e0, -params.delta, params.epsilon, times) @ state.vector
     steps = np.concatenate([IDENTITY[None], *_drive_steps(params, t, dt, params.epsilon)])
     out = _running_products(steps) @ state.vector  # the identity (step -1) gives sample 0
     return np.arange(len(out)) * dt, out

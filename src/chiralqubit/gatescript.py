@@ -220,17 +220,9 @@ def _advance(instructions, at, state, links, profile, rf_dt):
     return state, links, at
 
 
-def _link_key(instr: Instruction, i: int, j: int) -> tuple[int, int]:
-    if abs(i - j) != 1:
-        raise ScriptError(instr.line_no, f"link must join adjacent qubits, got ({i}, {j})")
-    return (min(i, j), max(i, j))
-
-
-def _get_link(links, instr: Instruction, i: int, j: int) -> CouplingLink:
-    link = links.get(_link_key(instr, i, j))
-    if link is None or not link.on:
-        raise register.LinkOff(f"link ({i}, {j}) is off or absent")
-    return link
+def _link(links, i: int, j: int) -> CouplingLink:
+    """The link last switched between i and j, else an off one; CouplingLink checks the pair."""
+    return links.get((min(i, j), max(i, j))) or CouplingLink(i, j, on=False)
 
 
 def _execute(instr, state, links, profile, rf_dt):
@@ -241,14 +233,13 @@ def _execute(instr, state, links, profile, rf_dt):
         state = register.apply_single_gate(state, args[0], register.NAMED_GATES[args[1]])
     elif op == "LINK":
         i, j, on = args
-        links = dict(links)
-        links[_link_key(instr, i, j)] = CouplingLink(min(i, j), max(i, j), on=on)
+        links = {**links, (min(i, j), max(i, j)): CouplingLink(i, j, on=on)}
     elif op == "XCHG":
         i, j, theta = args
-        state = register.exchange_pulse(state, _get_link(links, instr, i, j), theta)
+        state = register.exchange_pulse(state, _link(links, i, j), theta)
     elif op == "CNOT":
         c, t = args
-        state = register.cnot_composed(state, c, t, _get_link(links, instr, c, t))
+        state = register.cnot_composed(state, c, t, _link(links, c, t))
     elif op == "RF":
         q, amp, duration = args
         if any(link.on for link in links.values()):

@@ -1,4 +1,4 @@
-"""Chiral p-wave order parameter and its unit-vector texture in momentum space.
+"""Chiral p-wave order parameter and its texture in momentum space.
 
 Natural units throughout: hbar = 1 and 2m = 1, so the band dispersion is
 eps_k = k^2 - mu and the Fermi momentum is k_F = sqrt(mu) whenever mu > 0.
@@ -18,10 +18,6 @@ import numpy as np
 
 class NonpositiveMu(ValueError):
     """Raised where the 1/k_F normalization is requested but mu <= 0."""
-
-
-class ZeroTexture(ValueError):
-    """Raised when the texture vector vanishes and cannot be normalized."""
 
 
 @dataclass(frozen=True)
@@ -64,52 +60,18 @@ class GapParams:
         return self.delta / math.sqrt(self.mu) if self.mu > 0.0 else self.delta
 
 
-@dataclass(frozen=True)
-class MVector:
-    """Texture vector m = (Re d_z, Im d_z, eps_k) at one momentum point."""
-
-    mx: float
-    my: float
-    mz: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.mx * self.mx + self.my * self.my + self.mz * self.mz)
-
-    def normalized(self) -> "MVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroTexture("texture vector is zero, unit vector undefined")
-        return MVector(self.mx / n, self.my / n, self.mz / n)
-
-
 def d_z(k, params: GapParams) -> complex:
     """Gap amplitude delta*(k_x + i*chi*k_y)/k_F at momentum k = (k_x, k_y).
 
-    Requires mu > 0; for mu <= 0 use m_vector, which drops the 1/k_F factor.
+    Requires mu > 0; for mu <= 0 use texture_field, which drops the 1/k_F factor.
     """
     if params.mu <= 0.0:
         raise NonpositiveMu(
             f"d_z normalization needs mu > 0, got mu = {params.mu}; "
-            "m_vector handles mu <= 0 with the unnormalized convention"
+            "texture_field handles mu <= 0 with the unnormalized convention"
         )
-    kx, ky = k
-    return params.delta * (kx + 1j * params.chi * ky) / math.sqrt(params.mu)
-
-
-def dispersion(k, params: GapParams) -> float:
-    """Band energy eps_k = k^2 - mu (units with 2m = 1), the m_z of the texture."""
-    return m_vector(k, params).mz
-
-
-def m_vector(k, params: GapParams) -> MVector:
-    """Unnormalized texture vector at momentum k = (k_x, k_y)."""
-    kx, ky = k
-    return MVector(*map(float, texture_field(kx, ky, params)))
-
-
-def m_hat(k, params: GapParams) -> MVector:
-    """Unit texture vector m/|m|; raises ZeroTexture where |m| = 0."""
-    return m_vector(k, params).normalized()
+    m_x, m_y, _ = texture_field(*k, params)
+    return complex(m_x, m_y)
 
 
 def texture_field(kx, ky, params: GapParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,12 +82,3 @@ def texture_field(kx, ky, params: GapParams) -> tuple[np.ndarray, np.ndarray, np
     return tuple(np.broadcast_arrays(
         pref * kx, pref * params.chi * ky, kx * kx + ky * ky - params.mu
     ))
-
-
-def texture_grid(kx, ky, params: GapParams) -> np.ndarray:
-    """Unit texture vectors, shape kx.shape + (3,); raises ZeroTexture on a zero."""
-    mx, my, mz = texture_field(kx, ky, params)
-    norm = np.sqrt(mx * mx + my * my + mz * mz)
-    if not np.all(norm > 0.0):
-        raise ZeroTexture("texture vanishes at a sampled momentum")
-    return np.stack([mx / norm, my / norm, mz / norm], axis=-1)

@@ -74,13 +74,10 @@ class CouplingLink:
     i: int
     j: int
     on: bool = True
-    strength: float = 1.0
 
     def __post_init__(self):
         if self.i < 0 or self.j < 0 or abs(self.i - self.j) != 1:
             raise ValueError(f"link must join adjacent qubits, got ({self.i}, {self.j})")
-        if not (self.strength > 0.0 and math.isfinite(self.strength)):
-            raise ValueError(f"link strength must be > 0, got {self.strength!r}")
 
 
 @dataclass(frozen=True)

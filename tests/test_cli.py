@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chiralqubit import chirality, cli, gatescript
@@ -128,11 +128,19 @@ class TestBeatDampRabi:
         values = [float(row.split(",")[1]) for row in rows[1:]]
         assert min(values) > 0.0
 
-    def test_rabi_zero_amplitude_bit_identical_to_beat(self, tmp_path):
-        shared = "delta = 0.5\nepsilon = 0.3\nt_max = 10.0\ndt = 0.01\n"
-        _, beat_out = run_to_file(tmp_path, "beat", shared, name="beat.csv")
-        _, rabi_out = run_to_file(tmp_path, "rabi", shared + "amp = 0.0\n", name="rabi.csv")
-        assert beat_out.read_bytes() == rabi_out.read_bytes()
+    @settings(max_examples=40, deadline=None)
+    @given(e0=st.floats(-3.0, 3.0), delta=st.floats(0.0, 3.0), epsilon=st.floats(-3.0, 3.0),
+           t_max=st.floats(0.0, 5.0), dt=st.floats(0.005, 0.5), omega=st.floats(0.0, 4.0))
+    @example(e0=0.0, delta=0.5, epsilon=0.3, t_max=10.0, dt=0.01, omega=2.0)
+    def test_rabi_zero_amplitude_bit_identical_to_beat(self, e0, delta, epsilon, t_max, dt, omega):
+        shared = (f"e0 = {e0!r}\ndelta = {delta!r}\nepsilon = {epsilon!r}\n"
+                  f"t_max = {t_max!r}\ndt = {dt!r}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            beat = run_to_file(Path(tmp), "beat", shared, name="beat.csv")
+            rabi = run_to_file(Path(tmp), "rabi", shared + f"amp = 0.0\nomega = {omega!r}\n",
+                               name="rabi.csv")
+            assert beat[0] == rabi[0] == 0
+            assert beat[1].read_bytes() == rabi[1].read_bytes()
 
     def test_rabi_resonant_transfer(self, tmp_path):
         # driven from |+1> at resonance: full population swing within a pi pulse

@@ -283,6 +283,20 @@ class TestDrivenEvolution:
             expected = evolve_closed(QubitState.plus(), params, times[index])
             assert np.abs(amps[index] - expected.vector).max() < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(e0=st.floats(-3.0, 3.0), delta=st.floats(0.0, 3.0), epsilon=st.floats(-3.0, 3.0),
+           drive_freq=st.floats(0.0, 4.0), n=st.integers(0, 60), dt=st.floats(1e-3, 10.0),
+           theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+    def test_zero_amplitude_samples_the_closed_propagator(
+        self, e0, delta, epsilon, drive_freq, n, dt, theta, phi
+    ):
+        # exact at every sample and without a step bound: dt may exceed the driven limit
+        state = pure_state(theta, phi)
+        params = TwoLevelParams(e0=e0, delta=delta, epsilon=epsilon, drive_freq=drive_freq)
+        times, amps = drive_evolve(state, params, n * dt, dt)
+        assert np.array_equal(times, np.arange(_n_steps(n * dt, dt) + 1) * dt)
+        assert np.array_equal(amps, _propagator(e0, -delta, epsilon, times) @ state.vector)
+
     def test_resonant_pi_pulse(self):
         amp = 0.05
         params = TwoLevelParams(epsilon=1.0, drive_amp=amp, drive_freq=2.0)

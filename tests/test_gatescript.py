@@ -194,10 +194,16 @@ class TestExecution:
         assert shot_outcomes(run) == [[(0, +1), (1, +1)]]
 
     def test_nonadjacent_link_rejected(self):
-        for text in ("LINK 0 2 ON\n", "LINK 0 1 ON\nXCHG 0 0 1.0\n", "LINK 0 1 ON\nCNOT 0 0\n"):
+        for text in ("LINK 0 2 ON\n", "LINK 0 1 ON\nXCHG 0 0 1.0\n", "LINK 0 1 ON\nCNOT 0 0\n",
+                     "LINK 0 1 ON\nLINK 1 2 ON\nXCHG 0 2 1.0\n"):
             with pytest.raises(ScriptError) as excinfo:
                 run_script(parse_script(text), seed=0)
             assert excinfo.value.line_no == text.count("\n")
+        # a link switched as (1, 0) is the (0, 1) link
+        body = "XCHG 0 1 1.0\nCNOT 1 0\nGATE 0 H\nCNOT 0 1\n"
+        states = [run_script(parse_script(f"RESET 0 +1\nGATE 1 H\nLINK {pair} ON\n{body}"),
+                             seed=0).final_state.amps for pair in ("0 1", "1 0")]
+        assert np.array_equal(*states)
 
     def test_semantic_error_carries_line(self):
         # negative pulse area surfaces as a script error on the XCHG line

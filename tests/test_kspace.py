@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralqubit.kspace import (
-    GapParams,
-    NonpositiveMu,
-    ZeroTexture,
-    d_z,
-    dispersion,
-    m_hat,
-    m_vector,
-    texture_grid,
-)
+from chiralqubit.kspace import GapParams, NonpositiveMu, d_z, texture_field
 
 
 class TestGapParams:
@@ -65,41 +56,50 @@ class TestGapAmplitude:
             d_z((1.0, 0.0), GapParams(1.0, -1.0, 1))
 
 
+def m_vector(k, params):
+    """The texture at one momentum as a float triple."""
+    return tuple(map(float, texture_field(*k, params)))
+
+
+def m_hat(k, params):
+    m = np.array(m_vector(k, params))
+    return m / np.linalg.norm(m)
+
+
 class TestDispersion:
+    # m_z is the band energy eps_k = k^2 - mu
     def test_fermi_surface(self):
-        assert dispersion((1.0, 0.0), GapParams(1.0, 1.0, 1)) == 0.0
+        assert m_vector((1.0, 0.0), GapParams(1.0, 1.0, 1))[2] == 0.0
 
     def test_band_bottom(self):
-        assert dispersion((0.0, 0.0), GapParams(1.0, 1.0, 1)) == -1.0
+        assert m_vector((0.0, 0.0), GapParams(1.0, 1.0, 1))[2] == -1.0
 
     def test_arithmetic(self):
-        assert dispersion((2.0, 0.0), GapParams(1.0, 1.0, 1)) == 3.0
+        assert m_vector((2.0, 0.0), GapParams(1.0, 1.0, 1))[2] == 3.0
 
 
 class TestTexture:
     def test_origin_points_south(self):
-        m = m_hat((0.0, 0.0), GapParams(1.0, 1.0, 1))
-        assert (m.mx, m.my, m.mz) == (0.0, 0.0, -1.0)
+        assert tuple(m_hat((0.0, 0.0), GapParams(1.0, 1.0, 1))) == (0.0, 0.0, -1.0)
 
     def test_large_momentum_points_north(self):
-        m = m_hat((100.0, 0.0), GapParams(1.0, 1.0, 1))
-        assert m.mz > 0.99
+        assert m_hat((100.0, 0.0), GapParams(1.0, 1.0, 1))[2] > 0.99
 
     def test_fermi_point_is_equatorial(self):
-        m = m_hat((1.0, 0.0), GapParams(1.0, 1.0, 1))
-        assert m.mx == pytest.approx(1.0, abs=1e-15)
-        assert m.my == 0.0
-        assert m.mz == 0.0
-
-    def test_zero_texture_raises(self):
-        # delta = 0 on the Fermi circle
-        with pytest.raises(ZeroTexture):
-            m_hat((1.0, 0.0), GapParams(0.0, 1.0, 1))
+        mx, my, mz = m_hat((1.0, 0.0), GapParams(1.0, 1.0, 1))
+        assert mx == pytest.approx(1.0, abs=1e-15)
+        assert my == 0.0
+        assert mz == 0.0
 
     def test_unnormalized_convention_below_zero_mu(self):
-        m = m_vector((1.0, 0.0), GapParams(2.0, -1.0, 1))
-        assert m.mx == 2.0  # no 1/k_F division
-        assert m.mz == 2.0
+        mx, _, mz = m_vector((1.0, 0.0), GapParams(2.0, -1.0, 1))
+        assert mx == 2.0  # no 1/k_F division
+        assert mz == 2.0
+
+    def test_in_plane_pair_is_d_z(self):
+        params = GapParams(0.7, 2.0, -1)
+        mx, my, _ = m_vector((0.3, -1.1), params)
+        assert complex(mx, my) == d_z((0.3, -1.1), params)
 
     def test_unit_norm_random_momenta(self):
         rng = np.random.default_rng(12)
@@ -107,17 +107,18 @@ class TestTexture:
         deltas = rng.uniform(1e-6, 2.0, size=10_000)
         for i in range(0, 10_000, 17):
             m = m_hat(k[i], GapParams(deltas[i], 1.0, 1))
-            assert abs(m.norm() - 1.0) < 1e-12
-        # full bulk check on the vectorized path
-        grid = texture_grid(k[:, 0], k[:, 1], GapParams(0.7, 1.0, 1))
-        assert np.abs(np.linalg.norm(grid, axis=-1) - 1.0).max() < 1e-12
+            assert abs(np.linalg.norm(m) - 1.0) < 1e-12
+        # full bulk check on the broadcast components
+        m = np.stack(texture_field(k[:, 0], k[:, 1], GapParams(0.7, 1.0, 1)), axis=-1)
+        unit = m / np.linalg.norm(m, axis=-1, keepdims=True)
+        assert np.abs(np.linalg.norm(unit, axis=-1) - 1.0).max() < 1e-12
 
     def test_asymptotic_north(self):
         for params in (GapParams(1.0, 1.0, 1), GapParams(2.5, 3.0, -1)):
             radius = 10.0 * max(math.sqrt(max(params.mu, 0.0)), params.delta)
             for phi in np.linspace(0.0, 2.0 * math.pi, 13):
                 m = m_hat((radius * math.cos(phi), radius * math.sin(phi)), params)
-                assert m.mz > 0.9
+                assert m[2] > 0.9
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -129,10 +130,4 @@ class TestTexture:
     def test_chirality_conjugation(self, kx, ky, delta, mu):
         plus = m_vector((kx, ky), GapParams(delta, mu, +1))
         minus = m_vector((kx, ky), GapParams(delta, mu, -1))
-        assert minus.mx == plus.mx
-        assert minus.my == -plus.my
-        assert minus.mz == plus.mz
-
-    def test_texture_grid_rejects_zero(self):
-        with pytest.raises(ZeroTexture):
-            texture_grid(np.array([1.0]), np.array([0.0]), GapParams(0.0, 1.0, 1))
+        assert minus == (plus[0], -plus[1], plus[2])

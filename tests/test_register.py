@@ -174,10 +174,10 @@ class TestExchangePulse:
             exchange_pulse(RegisterState.all_minus(2), CouplingLink(0, 1, on=False), 1.0)
 
     def test_link_validation(self):
-        with pytest.raises(ValueError):
-            CouplingLink(0, 2, on=True)
-        with pytest.raises(ValueError):
-            CouplingLink(0, 1, on=True, strength=0.0)
+        for i, j in ((0, 2), (1, 1), (-1, 0)):
+            with pytest.raises(ValueError):
+                CouplingLink(i, j, on=True)
+        assert CouplingLink(1, 0).on  # either orientation, on by default
 
 
 class TestComposedCnot:
