@@ -17,11 +17,18 @@ persistent generator) and register.selective_rf_pulse (a pi pulse of amp
 0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  At every step count n it times
 dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
 of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
-omega 2).  At every shot count n it times gatescript.run_script over n
-shots of the 12-qubit script that puts every qubit through H and then
-measures them all (seed 1), the widest outcome tree the register allows, and
-cli.run_chain on the same script, read from a temporary file, with the chain
-defaults: the shot engine plus the chain's output lines.
+omega 2), dynamics.evolve_closed composed n times over one step of dt 0.005
+(from |+1>; the exact propagator has no step loop, so the row gives its cost
+per call) and dynamics.evolve_damped over n steps of dt 0.005 (from |+1>) at
+the point of configs/damp.cfg (delta 0.5, gamma 0.05).  At every shot count
+n it times gatescript.run_script over n shots of the 12-qubit script that
+puts every qubit through H and then measures them all (seed 1), the widest
+outcome tree the register allows, and cli.run_chain on the same script, read
+from a temporary file, with the chain defaults: the shot engine plus the
+chain's output lines.  Last, it times `import chiralqubit` in a fresh
+interpreter (measured inside the child, so interpreter start-up is left out,
+after one untimed import that compiles the bytecode): the best of --repeats
+imports.
 Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
@@ -42,6 +49,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -50,7 +58,8 @@ from time import perf_counter
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from chiralqubit.chirality import (  # noqa: E402
     BLOCK,
@@ -64,10 +73,13 @@ from chiralqubit.chirality import (  # noqa: E402
 from chiralqubit.cli import _load_config, run_chain  # noqa: E402
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
+    DensityMatrix,
     QubitState,
     TwoLevelParams,
     drive_evolve,
     drive_propagator,
+    evolve_closed,
+    evolve_damped,
 )
 from chiralqubit.gatescript import MAX_SHOTS, parse_script, run_script  # noqa: E402
 from chiralqubit.kspace import GapParams, texture_field  # noqa: E402
@@ -90,6 +102,9 @@ PARAMS = GapParams(1.0, 1.0, +1)
 K_MAX = 8.0
 RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
 DRIVE, DRIVE_DT = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 0.005
+CLOSED, DAMPED = TwoLevelParams(delta=0.5), TwoLevelParams(delta=0.5, gamma=0.05)
+IMPORT_CODE = ("from time import perf_counter; start = perf_counter(); import chiralqubit; "
+               "print(perf_counter() - start)")
 MIN_BATCH_S = 2e-3
 ALL_H_TEXT = ("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
               + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
@@ -129,13 +144,32 @@ def register_kernels(n: int) -> dict:
     }
 
 
-def drive_kernels(n: int) -> dict:
-    """Zero-argument calls of the driven-qubit kernels over n steps."""
+def _closed_steps(n: int) -> QubitState:
+    state = QubitState.plus()
+    for _ in range(n):
+        state = evolve_closed(state, CLOSED, DRIVE_DT)
+    return state
+
+
+def step_kernels(n: int) -> dict:
+    """Zero-argument calls of the qubit propagation kernels over n steps."""
+    rho = DensityMatrix.from_state(QubitState.plus())
     return {
         "dynamics.drive_evolve":
             lambda: drive_evolve(QubitState.minus(), DRIVE, n * DRIVE_DT, DRIVE_DT),
         "dynamics.drive_propagator": lambda: drive_propagator(DRIVE, n * DRIVE_DT, DRIVE_DT),
+        "dynamics.evolve_closed": lambda: _closed_steps(n),
+        "dynamics.evolve_damped": lambda: evolve_damped(rho, DAMPED, n * DRIVE_DT, DRIVE_DT),
     }
+
+
+def import_time(repeats: int) -> float:
+    """Best time of `import chiralqubit` in a fresh interpreter, after one untimed import."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    times = [float(subprocess.run([sys.executable, "-c", IMPORT_CODE], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+             for _ in range(repeats + 1)]
+    return min(times[1:])
 
 
 def shot_kernels(n: int, script_path: str) -> dict:
@@ -230,7 +264,7 @@ def main(argv=None) -> int:
             layers.append({"kernel": name, "n_qubits": n, "best_s": best, "outcome": outcome})
             print(f"{name:28s} {n:5d} qubits {best * 1e3:9.3f} ms  {outcome}")
     for n in args.steps:
-        for name, call in drive_kernels(n).items():
+        for name, call in step_kernels(n).items():
             best, outcome = time_kernel(call, args.repeats)
             layers.append({"kernel": name, "n_steps": n, "best_s": best, "outcome": outcome})
             print(f"{name:28s} {n:7d} steps {best * 1e3:8.3f} ms  {outcome}")
@@ -244,6 +278,9 @@ def main(argv=None) -> int:
                 layers.append({"kernel": name, "n_shots": n, "best_s": best, "peak_mb": peak,
                                "outcome": outcome})
                 print(f"{name:28s} {n:7d} shots {best * 1e3:8.3f} ms  {peak:7.2f} MB  {outcome}")
+    best = import_time(args.repeats)
+    layers.append({"kernel": "import chiralqubit", "best_s": best, "outcome": "ok"})
+    print(f"{'import chiralqubit':28s}       {best * 1e3:12.3f} ms")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

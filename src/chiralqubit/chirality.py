@@ -29,11 +29,26 @@ residual reflects numerical noise only.  The failure mode of a too-coarse
 plaquette mesh is a silently wrong integer, which is why cross_validate runs
 both methods and insists they agree.
 
-Layout: both estimators walk the mesh in blocks of max(1, BLOCK // n_grid)
-rows, build each block's texture with kspace.texture_field and hold no n x n
-array: memory is a few BLOCK-point block arrays plus O(n_grid) vectors.  Vector
-fields are triples of component arrays with dot and cross products written out.
-The cap closure evaluates the texture on the boundary loop only.
+Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
+m_x changes sign, a reflection of the sphere, while the orientation of the
+plane reverses as well; so the quadrature integrand and the signed solid angle
+of a mirrored plaquette equal those of the original cell, and likewise for
+k_y.  _mesh places its nodes as exact mirror images, and both interior sums
+walk one quadrant of the mesh and weight each point or cell by its mirror
+multiplicity per axis: the irreducible-wedge reduction of Brillouin-zone
+integration (Monkhorst and Pack, Phys. Rev. B 13, 5188 (1976)), applied to
+the lattice solid-angle sum too (Fukui, Hatsugai and Suzuki, J. Phys. Soc.
+Jpn. 74, 1674 (2005)).  Quadrature nodes x[n_grid // 2:] carry the folded trapezoid weight
+w_i + w_(n-1-i); for odd n_grid the node at k = 0 is its own mirror and keeps
+its single weight.  Plaquette cells i >= (n_grid - 1) // 2 carry weight 2, but
+for even n_grid the cell across k = 0 is its own mirror and carries 1.
+Reflections keep dot products, so the antipodal check sees every corner pair
+of the mesh in the quadrant.  The walk goes in blocks of max(1, BLOCK // n)
+rows of the quadrant's n nodes per side, builds each block's texture with
+kspace.texture_field and holds no n x n array: memory is a few BLOCK-point
+block arrays plus O(n_grid) vectors.  Vector fields are triples of component
+arrays with dot and cross products written out.  The cap closure evaluates
+the texture on the whole boundary loop, which is O(n_grid).
 """
 
 from __future__ import annotations
@@ -49,7 +64,6 @@ RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
 MAX_GRID = 1024  # largest n_grid per side
 BLOCK = 2**13  # mesh points per block of rows: a cache-sized float array of 64 KiB
-_trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
 
 class GaplessTexture(ValueError):
@@ -122,9 +136,10 @@ def _check_inputs(params: GapParams, k_max: float, n_grid: int) -> None:
 
 
 def _mesh(k_max: float, n_grid: int) -> tuple[np.ndarray, float]:
-    # nodes sit half a cell off k = 0 so texture zeros at the origin are never sampled
+    # cell-centred nodes, exact mirror images of each other (x[n - 1 - i] == -x[i]); for
+    # even n_grid they sit half a cell off k = 0, so texture zeros at the origin are never sampled
     h = 2.0 * k_max / n_grid
-    return -k_max + (np.arange(n_grid) + 0.5) * h, h
+    return (np.arange(n_grid) - (n_grid - 1) / 2.0) * h, h
 
 
 def _dot(p, q):
@@ -132,12 +147,12 @@ def _dot(p, q):
 
 
 def _blocks(params: GapParams, x: np.ndarray, overlap: int = 0):
-    """Row slice, texture m and m . m of each block of max(1, BLOCK // n) rows (+ overlap)."""
+    """Row slice, texture m and m . m of each block of max(1, BLOCK // n) rows (+ overlap rows)."""
     rows = max(1, BLOCK // len(x))
     for start in range(0, len(x) - overlap, rows):
         m = texture_field(x[start:start + rows + overlap, None], x[None, :], params)
         mx, my = m[0][:, :1], m[1][:1, :]  # m_x and m_y squared as 1-D vectors
-        yield slice(start, start + len(mx)), m, mx * mx + my * my + m[2] * m[2]
+        yield slice(start, start + rows), m, mx * mx + my * my + m[2] * m[2]
 
 
 def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
@@ -169,40 +184,41 @@ def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) ->
     return result
 
 
-def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
-    """Invariant via finite-difference derivatives and the trapezoid rule.
-
-    The derivatives are 1-D differences of 1-D texture lines: p_x = dm_x/dk_x,
-    p_y = dm_y/dk_y, and q_x = dm_z/dk_x, q_y = dm_z/dk_y along the middle mesh
-    lines.  With d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y) the numerator of
-    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products, and each
-    block's k_y trapezoids fill one n_grid vector for the final k_x trapezoid.
-    """
-    _check_inputs(params, k_max, n_grid)
-    x, h = _mesh(k_max, n_grid)
-    mid = n_grid // 2  # |k| = h/2 there, the smallest offset the other axis adds to m_z
+def _quadrature_sum(params: GapParams, x: np.ndarray, h: float) -> float:
+    """Trapezoid sum of the integrand over the mesh, walked on its quadrant x[n // 2:]."""
+    mid = len(x) // 2  # the smallest |k| >= 0 of the mesh: h/2, or 0 for odd n
     mx, _, mz_x = texture_field(x, x[mid], params)
     _, my, mz_y = texture_field(x[mid], x, params)
-    px, py, qx, qy = (np.gradient(v, h, edge_order=2) for v in (mx, my, mz_x, mz_y))
-    inner = np.empty(n_grid)
-    for rows, m, s in _blocks(params, x):
+    q = slice(mid, None)
+    px, py, qx, qy = (np.gradient(v, h, edge_order=2)[q] for v in (mx, my, mz_x, mz_y))
+    mx, my = mx[q], my[q]
+    trapezoid = np.full(len(x), h)
+    trapezoid[[0, -1]] = h / 2.0
+    w = trapezoid[q] + trapezoid[::-1][q]
+    if len(x) % 2:
+        w[0] = trapezoid[mid]  # the node at k = 0 is its own mirror
+    inner = np.empty(len(w))
+    for rows, m, s in _blocks(params, x[q]):
         # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
         numerator = (m[2] * px[rows, None] - (mx * qx)[rows, None]) * py
         numerator -= np.outer(px[rows], my * qy)
-        inner[rows] = _trapezoid(numerator / (s * np.sqrt(s)), x, axis=1)
-    return _finish(_trapezoid(inner, x) + _cap_closure(params, x), n_grid, k_max, "quadrature")
+        numerator /= s * np.sqrt(s)
+        # a per-row sum, not a gemv, keeps the raw value bit-identical across block sizes
+        inner[rows] = (numerator * w).sum(axis=1)
+    return float(w @ inner)
 
 
-def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
-    """Invariant via the discrete degree (signed spherical plaquette areas)."""
-    _check_inputs(params, k_max, n_grid)
-    x, _ = _mesh(k_max, n_grid)
+def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
+    """Signed solid angle of the mesh cells, walked on the cells of its quadrant."""
+    start = (len(x) - 1) // 2  # cell i spans nodes i, i + 1 and mirrors cell n - 2 - i
+    fold = np.full(len(x) - 1 - start, 2.0)
+    fold[0] = 1.0 + len(x) % 2  # for even n the first cell straddles k = 0: its own mirror
     # corners a (i, j), b (i+1, j), c (i+1, j+1), d (i, j+1); the edge dots
     # come from the neighbour dots along k_x (rows) and along k_y (columns)
     lo, hi = slice(None, -1), slice(1, None)
     corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
     interior = 0.0
-    for _, m, s in _blocks(params, x, overlap=1):
+    for rows, m, s in _blocks(params, x[start:], overlap=1):
         norm = np.sqrt(s, out=s)
         unit = tuple(c / norm for c in m)
         along_x = _dot(tuple(u[lo] for u in unit), tuple(u[hi] for u in unit))
@@ -215,9 +231,31 @@ def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult
                 f"two plaquette corners are antipodal within {ANTIPODAL_TOL:g}; refine the grid")
         # a . (b x c) = b . w and a . (c x d) = -d . w with w = c x a
         w = (c[1] * a[2] - c[2] * a[1], c[2] * a[0] - c[0] * a[2], c[0] * a[1] - c[1] * a[0])
-        interior += _solid_angle(_dot(b, w), ab, bc, ac).sum()
-        interior += _solid_angle(-_dot(d, w), ac, cd, ad).sum()
-    return _finish(interior + _cap_closure(params, x), n_grid, k_max, "plaquette")
+        omega = _solid_angle(_dot(b, w), ab, bc, ac) + _solid_angle(-_dot(d, w), ac, cd, ad)
+        interior += fold[rows] @ (omega @ fold)
+    return float(interior)
+
+
+def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
+    """Invariant via finite-difference derivatives and the trapezoid rule.
+
+    The derivatives are 1-D differences of 1-D texture lines: p_x = dm_x/dk_x,
+    p_y = dm_y/dk_y, and q_x = dm_z/dk_x, q_y = dm_z/dk_y along the middle mesh
+    lines.  With d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y) the numerator of
+    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products, and each
+    block's weighted k_y sums fill one vector for the final k_x sum.
+    """
+    _check_inputs(params, k_max, n_grid)
+    x, h = _mesh(k_max, n_grid)
+    return _finish(_quadrature_sum(params, x, h) + _cap_closure(params, x),
+                   n_grid, k_max, "quadrature")
+
+
+def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
+    """Invariant via the discrete degree (signed spherical plaquette areas)."""
+    _check_inputs(params, k_max, n_grid)
+    x, _ = _mesh(k_max, n_grid)
+    return _finish(_plaquette_sum(params, x) + _cap_closure(params, x), n_grid, k_max, "plaquette")
 
 
 def _conditioned(params: GapParams) -> GapParams:
@@ -256,9 +294,12 @@ def cross_validate(
     n_grid = n_grid_start
     last_exc: Exception | None = None
     while n_grid <= n_grid_max:
+        _check_inputs(work, cutoff, n_grid)
+        x, h = _mesh(cutoff, n_grid)
+        cap = _cap_closure(work, x)  # shared by both estimators
         try:
-            quad = chern_quadrature(work, cutoff, n_grid)
-            plaq = chern_plaquette(work, cutoff, n_grid)
+            quad = _finish(_quadrature_sum(work, x, h) + cap, n_grid, cutoff, "quadrature")
+            plaq = _finish(_plaquette_sum(work, x) + cap, n_grid, cutoff, "plaquette")
         except (NotConverged, DegeneratePlaquette) as exc:
             last_exc = exc
             n_grid *= 2

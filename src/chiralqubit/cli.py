@@ -40,6 +40,9 @@ from .gatescript import ScriptError
 from .kspace import GapParams
 from .register import LinkOff
 
+EMIT_LINES = 4096  # output lines joined per write
+
+
 class ConfigError(ValueError):
     pass
 
@@ -142,16 +145,21 @@ def _rows(header: str, *columns) -> list[str]:
     return [header] + [",".join(map(repr, row)) for row in zip(*(v.tolist() for v in values))]
 
 
+def _write_lines(handle, lines: list[str]) -> None:
+    """Each line and a newline, EMIT_LINES lines per write: no copy of the whole output is held."""
+    for start in range(0, len(lines), EMIT_LINES):
+        handle.write("\n".join(lines[start:start + EMIT_LINES]) + "\n")
+
+
 def _emit(lines: list[str], out_path: str | None) -> None:
-    payload = "\n".join(lines) + "\n"
     if out_path is None:
-        sys.stdout.write(payload)
+        _write_lines(sys.stdout, lines)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            _write_lines(handle, lines)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):

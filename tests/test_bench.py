@@ -19,7 +19,8 @@ REGISTER_KERNELS = [
     "register.measure",
     "register.selective_rf_pulse",
 ]
-DRIVE_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator"]
+STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
+                "dynamics.evolve_damped"]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
 
 
@@ -43,9 +44,9 @@ def test_layer_timer_runs(tmp_path):
               row.get("n_shots")) for row in layers]
     assert sizes == [(kernel, n, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS] + [
         (kernel, None, n, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
-    ] + [(kernel, None, None, n, None) for n in (1, 100) for kernel in DRIVE_KERNELS] + [
+    ] + [(kernel, None, None, n, None) for n in (1, 100) for kernel in STEP_KERNELS] + [
         (kernel, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
-    ]
+    ] + [("import chiralqubit", None, None, None, None)]
     assert all(row["best_s"] > 0.0 for row in layers)
     # every grid kernel allocates its mesh and every shot kernel its draws, so their traced
     # peaks are positive

@@ -94,15 +94,17 @@ class TestPlaquette:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_degenerate_edge_detected(self, monkeypatch, axis):
-        # m_hat jumps from -z to +z across k = 0 along `axis` and sits on the z
-        # axis on one mesh line only, so the antipodal corner pairs are edges
-        # along `axis`, never plaquette diagonals
+        # m_hat jumps from -z to +z where |k| along `axis` reaches x[40] and sits on the
+        # z axis on the mesh lines k_across = +-x[48] only, so the antipodal corner pairs
+        # are edges along `axis`, never plaquette diagonals, and those at k_across = x[48]
+        # lie in the quadrant the estimator walks.  The texture is even in k_x and k_y,
+        # so mirror nodes repeat each other and no cell across k = 0 adds a pair
         x, _ = chirality._mesh(8.0, 64)
 
         def jump(kx, ky, params):
             along, across = (kx, ky) if axis == 0 else (ky, kx)
-            flat, tilt = 0.0 * along, across - x[16]
-            mz = np.where(along > 0.0, 1.0, -1.0) + 0.0 * across
+            flat, tilt = 0.0 * along, np.abs(across) - x[48]
+            mz = np.where(np.abs(along) >= x[40], 1.0, -1.0) + 0.0 * across
             return tuple(np.broadcast_arrays(*((flat, tilt) if axis == 0 else (tilt, flat)), mz))
 
         monkeypatch.setattr(chirality, "texture_field", jump)
@@ -193,6 +195,9 @@ class TestCrossValidate:
             cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=2048)
 
 
+_trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
+
+
 # Reference: the estimators on one stacked (n, n, 3) texture with np.cross and
 # einsum, as they were before the kernels moved to component arrays.
 def _reference_solid_angle(a, b, c):
@@ -225,7 +230,7 @@ def reference_raw(method, params, k_max, n_grid):
         dxu = (dxm - unit * np.einsum("ijk,ijk->ij", unit, dxm)[..., None]) / norm
         dyu = (dym - unit * np.einsum("ijk,ijk->ij", unit, dym)[..., None]) / norm
         integrand = np.einsum("ijk,ijk->ij", unit, np.cross(dxu, dyu))
-        total = chirality._trapezoid(chirality._trapezoid(integrand, x, axis=1), x, axis=0)
+        total = _trapezoid(_trapezoid(integrand, x, axis=1), x, axis=0)
     else:
         total = _reference_solid_angle(a, b, c).sum() + _reference_solid_angle(a, c, d).sum()
 
@@ -261,7 +266,7 @@ def six_gradient_quadrature_raw(params, k_max, n_grid):
         return tuple((d - u * along) / norm for u, d in zip(unit, dm))
 
     integrand = _triple(unit, d_unit(0), d_unit(1))
-    total = chirality._trapezoid(chirality._trapezoid(integrand, x, axis=1), x, axis=0)
+    total = _trapezoid(_trapezoid(integrand, x, axis=1), x, axis=0)
     loop = tuple(
         np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]]) for u in unit
     )
@@ -272,6 +277,38 @@ def six_gradient_quadrature_raw(params, k_max, n_grid):
     return -(total + cap.sum()) / (4.0 * math.pi)
 
 
+class TestMirrorSymmetry:
+    """The symmetry the quadrant walk of both estimators relies on."""
+
+    @pytest.mark.parametrize("n_grid", [32, 33, 64, 65])
+    def test_mesh_is_exactly_mirrored(self, n_grid):
+        x, h = chirality._mesh(7.3, n_grid)
+        assert np.array_equal(x[::-1], -x)
+        assert h == 2.0 * 7.3 / n_grid
+
+    @pytest.mark.parametrize("params", [
+        GapParams(1.0, 1.0, +1), GapParams(0.3, 40.0, -1), GapParams(2.0, -3.0, +1),
+        GapParams(0.05, -0.5, -1),
+    ])
+    def test_texture_reflects_bitwise(self, params):
+        k = np.random.default_rng(7).uniform(-9.0, 9.0, 64)
+        kx, ky = k[:, None], k[None, :]
+        mx, my, mz = texture_field(kx, ky, params)
+        for got, want in ((texture_field(-kx, ky, params), (-mx, my, mz)),
+                          (texture_field(kx, -ky, params), (mx, -my, mz))):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_cap_closure_once_per_level(self, monkeypatch):
+        calls = []
+        cap = chirality._cap_closure
+        monkeypatch.setattr(chirality, "_cap_closure", lambda *args: calls.append(1) or cap(*args))
+        # 128^2 does not converge at mu = 40 (test_cross_validate_converges), 256^2 does
+        report = cross_validate(GapParams(0.3, 40.0, +1))
+        assert report.plaquette.grid_size == 256
+        assert len(calls) == 2
+
+
 class TestComponentKernels:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -279,10 +316,14 @@ class TestComponentKernels:
         mu=st.floats(-50.0, 50.0).filter(lambda mu: abs(mu) >= 0.01),
         chi=st.sampled_from([+1, -1]),
         stretch=st.floats(1.01, 4.0),
-        n_grid=st.sampled_from([32, 64, 128]),
+        n_grid=st.sampled_from([32, 33, 64, 65, 128]),
     )
     # raw 18.9: the two summation orders differ by 1.2e-12, 6.4e-14 relative
     @example(delta=0.010000000000000002, mu=34.0, chi=1, stretch=2.2934520160769747, n_grid=128)
+    # odd sizes put a node at k = 0, its own mirror; mu < 0 takes the unnormalized prefactor
+    @example(delta=0.7, mu=2.5, chi=-1, stretch=1.3, n_grid=33)
+    @example(delta=1.0, mu=-2.0, chi=+1, stretch=1.5, n_grid=65)
+    @example(delta=0.05, mu=-40.0, chi=-1, stretch=3.0, n_grid=33)
     def test_raw_matches_stacked_reference(self, delta, mu, chi, stretch, n_grid):
         params = GapParams(delta, mu, chi)
         k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
@@ -312,11 +353,16 @@ class TestComponentKernels:
         mu=st.floats(-50.0, 50.0).filter(lambda mu: abs(mu) >= 0.01),
         chi=st.sampled_from([+1, -1]),
         stretch=st.floats(1.01, 4.0),
-        n_grid=st.sampled_from([32, 64, 128, 256]),
+        n_grid=st.sampled_from([32, 33, 64, 65, 128, 256]),
     )
-    # mu < 0 takes the unnormalized in-plane prefactor
+    # mu < 0 takes the unnormalized in-plane prefactor; odd sizes put a node at k = 0
     @example(delta=1.0, mu=-2.0, chi=+1, stretch=1.5, n_grid=256)
     @example(delta=0.05, mu=-40.0, chi=-1, stretch=3.0, n_grid=32)
+    @example(delta=1.0, mu=-2.0, chi=+1, stretch=1.5, n_grid=65)
+    @example(delta=0.7, mu=2.5, chi=-1, stretch=1.3, n_grid=33)
+    # a gap of 1e-3 k_F: the integrand is so sharp that a mesh mirror symmetric only up
+    # to rounding (1 ulp in k) moves the folded sum by 1e-12 relative
+    @example(delta=0.0625, mu=48.75, chi=+1, stretch=3.0, n_grid=128)
     @example(delta=0.3, mu=45.0, chi=+1, stretch=1.01, n_grid=256)
     def test_quadrature_matches_six_gradient_reference(self, delta, mu, chi, stretch, n_grid):
         params = GapParams(delta, mu, chi)
@@ -406,17 +452,27 @@ class TestBlockSeams:
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_antipodal_pair_across_seam_detected(self, monkeypatch, n_grid, rows, offset):
-        # m_hat jumps from -z to +z between mesh rows jump - 1 and jump, next to the
-        # first block seam (mesh row `rows`, shared by the first two blocks), and sits
-        # on the z axis on one column only: a single antipodal pair along k_x
+        # the plaquette walks the quadrant of mesh rows and columns from `start` on, in
+        # blocks of `rows` rows.  m_hat jumps from -z to +z between quadrant rows
+        # jump - 1 and jump, next to the first block seam (quadrant row `rows`, shared by
+        # the first two blocks), and sits on the z axis on one quadrant column only: a
+        # single antipodal pair along k_x in the quadrant.  The texture is mirror
+        # symmetric: even in k_y, and even in k_x except that m_z is odd in k_x (a
+        # reflection of the sphere) when the pair straddles k_x = 0, where an even
+        # texture repeats itself.  Mirror nodes along k_y repeat each other, so no cell
+        # across k_y = 0 adds a diagonal pair
         x, _ = chirality._mesh(8.0, n_grid)
-        jump = max(1, rows + offset)
+        start = (n_grid - 1) // 2
+        jump = start + max(1, rows + offset)
+        straddle = x[jump - 1] < 0.0
+        column = n_grid - 1 - n_grid // 3
 
         def seam_texture(kx, ky, params):
-            mz = np.where(kx >= x[jump], 1.0, -1.0) + 0.0 * ky
-            return tuple(np.broadcast_arrays(0.0 * kx, ky - x[n_grid // 3], mz))
+            mz = np.sign(kx) if straddle else np.where(np.abs(kx) >= x[jump], 1.0, -1.0)
+            mz = mz + 0.0 * ky
+            return tuple(np.broadcast_arrays(0.0 * kx, np.abs(ky) - x[column], mz))
 
-        monkeypatch.setattr(chirality, "BLOCK", rows * n_grid)
+        monkeypatch.setattr(chirality, "BLOCK", rows * (n_grid - start))
         monkeypatch.setattr(chirality, "texture_field", seam_texture)
         with pytest.raises(DegeneratePlaquette):
             chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, n_grid)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -393,6 +394,54 @@ class TestOutputContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite values" in err
+
+
+class TestChunkedEmit:
+    # 200,000 shot-like lines: 7.3 MB of output, 49 chunks of cli.EMIT_LINES lines
+    LINES = [f"shot {k} measurements: 0:+1 1:-1" for k in range(1, 200_001)]
+    PAYLOAD = ("\n".join(LINES) + "\n").encode()
+
+    @staticmethod
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_file_bytes_identical_and_peak_bounded(self, tmp_path):
+        out = tmp_path / "shots.txt"
+        peak = self.peak_bytes(lambda: cli._emit(self.LINES, str(out)))
+        assert out.read_bytes() == self.PAYLOAD
+        assert [p.name for p in tmp_path.iterdir()] == ["shots.txt"]
+        # the joined payload alone was 7.3 MB; one chunk is about 150 kB
+        assert peak < 1e6, peak
+
+    def test_stdout_bytes_identical_and_peak_bounded(self, monkeypatch):
+        class Digest:
+            def __init__(self):
+                self.sha = hashlib.sha256()
+
+            def write(self, text):
+                self.sha.update(text.encode())
+
+        sink = Digest()
+        monkeypatch.setattr(sys, "stdout", sink)
+        peak = self.peak_bytes(lambda: cli._emit(self.LINES, None))
+        monkeypatch.undo()
+        assert sink.sha.hexdigest() == hashlib.sha256(self.PAYLOAD).hexdigest()
+        assert peak < 1e6, peak
+
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        out = tmp_path / "shots.txt"
+        out.write_text("previous run\n", encoding="utf-8")
+        # a lone surrogate cannot be encoded: the write fails in the second chunk
+        lines = self.LINES[:cli.EMIT_LINES] + ["\ud800"] + self.LINES[cli.EMIT_LINES:]
+        with pytest.raises(UnicodeEncodeError):
+            cli._emit(lines, str(out))
+        assert out.read_text(encoding="utf-8") == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["shots.txt"]
 
 
 _QUBIT_TOKEN = st.integers(0, 3).map(str)  # at most 4 qubits
