@@ -1,11 +1,12 @@
 """Layer timer for the chirality, register, driven-dynamics and shot kernels.
 
-    python bench/layers.py --out BENCH.json [--sizes 128 1024] [--qubits 4 12]
+    python bench/layers.py --out BENCH.json [--sizes 128 256 512 1024] [--qubits 4 12]
                            [--steps 1000 10000] [--shots 100 5000] [--repeats 7]
 
 It imports the package from the src/ directory next to it.  At every grid
-size n it times kspace.texture_field on one row block of the n x n mesh
-(max(1, chirality.BLOCK // n) rows, the block the estimators request),
+size n it times kspace.texture_field on the first octant block of the
+quadrature (max(1, chirality.BLOCK // m) rows of the quadrant's m = n // 2
+nodes per side, the widest block the estimators request),
 chirality.chern_quadrature, chirality.chern_plaquette, and
 chirality.cross_validate held to that one grid (n_grid_start = n_grid_max =
 n), all at the point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
@@ -44,6 +45,7 @@ the BLAS numpy was built with, and the thread environment variables.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -112,9 +114,10 @@ ALL_H = parse_script(ALL_H_TEXT)
 
 
 def _block_texture(n: int):
-    """The texture of one row block, the shape the estimators request of texture_field."""
-    x, _ = _mesh(K_MAX, n)
-    return texture_field(x[:max(1, BLOCK // n), None], x[None, :], PARAMS)
+    """The texture of the first octant block of the quadrature, the widest block it requests."""
+    xq = _mesh(K_MAX, n)[0][n // 2:]
+    rows = min(len(xq), max(1, BLOCK // len(xq)))
+    return texture_field(xq[:rows, None], xq[None, :], PARAMS)
 
 
 GRID_KERNELS = {
@@ -177,7 +180,7 @@ def shot_kernels(n: int, script_path: str) -> dict:
     config = {**_load_config("chain", None), "script_path": script_path, "seed": 1, "shots": n}
     return {
         "gatescript.run_script": lambda: run_script(ALL_H, seed=1, shots=n),
-        "cli.run_chain": lambda: run_chain(config),
+        "cli.run_chain": lambda: collections.deque(run_chain(config), maxlen=0),
     }
 
 
@@ -234,7 +237,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[128, 1024])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512, 1024])
     parser.add_argument("--qubits", type=int, nargs="+", default=[4, 12])
     parser.add_argument("--steps", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--shots", type=int, nargs="+", default=[100, 5000])

@@ -33,26 +33,44 @@ Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
 m_x changes sign, a reflection of the sphere, while the orientation of the
 plane reverses as well; so the quadrature integrand and the signed solid angle
 of a mirrored plaquette equal those of the original cell, and likewise for
-k_y.  _mesh places its nodes as exact mirror images, and both interior sums
-walk one quadrant of the mesh and weight each point or cell by its mirror
-multiplicity per axis: the irreducible-wedge reduction of Brillouin-zone
-integration (Monkhorst and Pack, Phys. Rev. B 13, 5188 (1976)), applied to
-the lattice solid-angle sum too (Fukui, Hatsugai and Suzuki, J. Phys. Soc.
-Jpn. 74, 1674 (2005)).  Quadrature nodes x[n_grid // 2:] carry the folded trapezoid weight
-w_i + w_(n-1-i); for odd n_grid the node at k = 0 is its own mirror and keeps
-its single weight.  Plaquette cells i >= (n_grid - 1) // 2 carry weight 2, but
-for even n_grid the cell across k = 0 is its own mirror and carries 1.
-Reflections keep dot products, so the antipodal check sees every corner pair
-of the mesh in the quadrant.  The walk goes in blocks of max(1, BLOCK // n)
-rows of the quadrant's n nodes per side, builds each block's texture with
-kspace.texture_field and holds no n x n array: memory is a few BLOCK-point
-block arrays plus O(n_grid) vectors.  Vector fields are triples of component
-arrays with dot and cross products written out.  The cap closure evaluates
-the texture on the whole boundary loop, which is O(n_grid).
+k_y.  Swapping k_x and k_y maps m to (m_y, m_x, m_z) for chi = +1 and to
+(-m_y, -m_x, m_z) for chi = -1, again a reflection while the orientation
+reverses, so both are even under the swap too.  _mesh places its nodes as
+exact mirror images, on which all three symmetries hold bit for bit, and both
+interior sums walk one octant of the mesh, the quadrant entries (i, j) with
+j >= i, and weight each point or cell by its multiplicity: the
+irreducible-wedge reduction of Brillouin-zone integration (Monkhorst and Pack,
+Phys. Rev. B 13, 5188 (1976)), applied to the lattice solid-angle sum too
+(Fukui, Hatsugai and Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)).  Quadrature
+nodes x[n_grid // 2:] carry the folded trapezoid weight w_i + w_(n-1-i) per
+axis; for odd n_grid the node at k = 0 is its own mirror and keeps its single
+weight.  Plaquette cells i >= (n_grid - 1) // 2 carry weight 2 per axis, but
+for even n_grid the cell across k = 0 is its own mirror and carries 1.  An
+entry off the diagonal carries a further 2 for its swap image (j, i); a
+diagonal entry is its own image and keeps 1 (the swap maps the a-c split of a
+diagonal cell onto itself and exchanges its two triangles).
+
+The antipodal check still sees every corner pair of the mesh: reflections and
+the swap keep dot products, the mirrors map the quadrant onto the other three,
+and the swap maps the k_x edges of cell (i, j) onto the k_y edges of cell
+(j, i) and its diagonals onto that cell's diagonals, so each pair of a cell
+below the diagonal has its image in a cell the walk checks.
+
+The walk goes in row blocks of the quadrant's n nodes per side (_blocks) and
+holds no n x n array: memory is a few BLOCK-point block arrays plus O(n_grid)
+vectors.  The quadrature sums each row over the whole quadrant row, zero left
+of the diagonal, so its raw value is the same bit for bit for every block
+size.  The plaquette lays each block out flat, so that every corner array is
+a contiguous slice, and both triangles of a cell share one raw triple
+product: for this separable texture b - a = c - d and c - b = d - a, so
+a . (b x c) = a . (c x d) = a . ((b - a) x (c - b)), one 2-D determinant of
+the edge components scaled by the corners' inverse norms.  The cap closure
+evaluates the texture on the whole boundary loop, which is O(n_grid).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,13 +164,39 @@ def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def _blocks(params: GapParams, x: np.ndarray, overlap: int = 0):
-    """Row slice, texture m and m . m of each block of max(1, BLOCK // n) rows (+ overlap rows)."""
-    rows = max(1, BLOCK // len(x))
-    for start in range(0, len(x) - overlap, rows):
-        m = texture_field(x[start:start + rows + overlap, None], x[None, :], params)
-        mx, my = m[0][:, :1], m[1][:1, :]  # m_x and m_y squared as 1-D vectors
-        yield slice(start, start + rows), m, mx * mx + my * my + m[2] * m[2]
+def _blocks(params: GapParams, xq: np.ndarray, overlap: int = 0):
+    """Row blocks of the octant of the quadrant nodes xq, from their first row r0.
+
+    The len(xq) - overlap rows split evenly into blocks of at most
+    max(1, BLOCK // len(xq)) rows.  A block holds the columns from r0 on: the
+    octant entries (i, j >= i) of its rows and the lower triangle of its leading
+    square.  Yields r0, the block's texture m in its natural shapes (with
+    `overlap` more rows), m . m and the octant factor of its leading square.
+    """
+    count = len(xq) - overlap
+    rows = _block_rows(count, len(xq))
+    for r0 in range(0, count, rows):
+        m = texture_field(xq[r0:r0 + rows + overlap, None], xq[None, r0:], params)
+        s = m[0] * m[0] + m[1] * m[1] + m[2] * m[2]
+        yield r0, m, s, _octant_factor(len(s) - overlap)
+
+
+def _block_rows(count: int, width: int) -> int:
+    """Rows per block: count rows split evenly into blocks of at most max(1, BLOCK // width)."""
+    blocks = -(-count // max(1, BLOCK // width))
+    return -(-count // blocks)
+
+
+@functools.cache
+def _octant_factor(rows: int) -> np.ndarray:
+    """Weight of each entry of a rows x rows leading square relative to an off-diagonal entry.
+
+    1 above the diagonal, 1/2 on it (a diagonal entry is its own swap image) and
+    0 below it (the swap image of such an entry is walked above the diagonal).
+    """
+    factor = np.triu(np.ones((rows, rows))) - 0.5 * np.eye(rows)
+    factor.flags.writeable = False
+    return factor
 
 
 def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
@@ -185,55 +229,106 @@ def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) ->
 
 
 def _quadrature_sum(params: GapParams, x: np.ndarray, h: float) -> float:
-    """Trapezoid sum of the integrand over the mesh, walked on its quadrant x[n // 2:]."""
+    """Trapezoid sum of the integrand over the mesh, walked on the octant of x[n // 2:]."""
     mid = len(x) // 2  # the smallest |k| >= 0 of the mesh: h/2, or 0 for odd n
     mx, _, mz_x = texture_field(x, x[mid], params)
     _, my, mz_y = texture_field(x[mid], x, params)
-    q = slice(mid, None)
-    px, py, qx, qy = (np.gradient(v, h, edge_order=2)[q] for v in (mx, my, mz_x, mz_y))
-    mx, my = mx[q], my[q]
+    px, py, qx, qy = np.gradient(np.stack((mx, my, mz_x, mz_y)), h, axis=1, edge_order=2)[:, mid:]
     trapezoid = np.full(len(x), h)
     trapezoid[[0, -1]] = h / 2.0
-    w = trapezoid[q] + trapezoid[::-1][q]
+    w = trapezoid[mid:] + trapezoid[::-1][mid:]
     if len(x) % 2:
         w[0] = trapezoid[mid]  # the node at k = 0 is its own mirror
+    ax, ay, w2 = mx[mid:] * qx, my[mid:] * qy, 2.0 * w
+    # each row's k_y sum runs over the whole quadrant row, zero left of the diagonal,
+    # so it is the same sum for every block size (a gemv would not keep that)
+    field = np.empty((_block_rows(len(w), len(w)), len(w)))
     inner = np.empty(len(w))
-    for rows, m, s in _blocks(params, x[q]):
+    for r0, m, s, square in _blocks(params, x[mid:]):
+        rows = slice(r0, r0 + len(s))
         # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
-        numerator = (m[2] * px[rows, None] - (mx * qx)[rows, None]) * py
-        numerator -= np.outer(px[rows], my * qy)
+        numerator = m[2] * px[rows, None]
+        numerator -= ax[rows, None]
+        numerator *= py[r0:]
+        numerator -= np.outer(px[rows], ay[r0:])
         numerator /= s * np.sqrt(s)
-        # a per-row sum, not a gemv, keeps the raw value bit-identical across block sizes
-        inner[rows] = (numerator * w).sum(axis=1)
+        field[:, max(0, r0 - len(field)):r0] = 0.0  # the previous block's leading square
+        row = field[:len(s)]
+        np.multiply(numerator, w2[r0:], out=row[:, r0:])
+        row[:, r0:rows.stop] *= square
+        inner[rows] = row.sum(axis=1)
     return float(w @ inner)
 
 
 def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
-    """Signed solid angle of the mesh cells, walked on the cells of its quadrant."""
+    """Signed solid angle of the mesh cells, walked on the cells of the octant of its quadrant."""
     start = (len(x) - 1) // 2  # cell i spans nodes i, i + 1 and mirrors cell n - 2 - i
-    fold = np.full(len(x) - 1 - start, 2.0)
+    xq = x[start:]
+    # the mesh lines through the quadrant corner and each node's next neighbour along them
+    mx, _, mz_x = texture_field(xq, xq[0], params)
+    _, my, mz_y = texture_field(xq[0], xq, params)
+    line = np.stack((mx, my, mz_x, mz_y))
+    step = np.zeros_like(line)
+    step[:, :-1] = line[:, 1:]
+    near = line[:2] * step[:2]  # m_x m_x' and m_y m_y' of neighbouring nodes
+    step -= line  # the edges b - a = c - d = (dm_x, 0, dz_x) and c - b = d - a = (0, dm_y, dz_y)
+    tilt = line[:2] * step[2:]  # m_x dz_x and m_y dz_y
+    # cell weights: mirror fold per axis, times 2 for the swap along columns; the last
+    # column starts no cell (in the flat layout below its "cells" wrap to the next row)
+    fold = np.full(len(xq), 2.0)
     fold[0] = 1.0 + len(x) % 2  # for even n the first cell straddles k = 0: its own mirror
-    # corners a (i, j), b (i+1, j), c (i+1, j+1), d (i, j+1); the edge dots
-    # come from the neighbour dots along k_x (rows) and along k_y (columns)
-    lo, hi = slice(None, -1), slice(1, None)
-    corners = ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
+    fold[-1] = 0.0
+    swap_fold = 2.0 * fold
     interior = 0.0
-    for rows, m, s in _blocks(params, x[start:], overlap=1):
-        norm = np.sqrt(s, out=s)
-        unit = tuple(c / norm for c in m)
-        along_x = _dot(tuple(u[lo] for u in unit), tuple(u[hi] for u in unit))
-        along_y = _dot(tuple(u[:, lo] for u in unit), tuple(u[:, hi] for u in unit))
-        ab, cd, ad, bc = along_x[:, lo], along_x[:, hi], along_y[lo], along_y[hi]
-        a, b, c, d = (tuple(u[i, j] for u in unit) for i, j in corners)
-        ac = _dot(a, c)
-        if min(dot.min() for dot in (along_x, along_y, ac, _dot(b, d))) <= -1.0 + ANTIPODAL_TOL:
+    for r0, m, s, square in _blocks(params, xq, overlap=1):
+        # flat node k of the block (row k // W, column k % W) is corner a of cell k, with
+        # b = k + W, c = k + W + 1 and d = k + 1; node dots are the unnormalized
+        # m_z m_z' plus the separable in-plane part, scaled by the inverse norms
+        rows, width = s.shape
+        cells = (rows - 1) * width
+        last = cells - 1  # the final wrap cell: its corner c lies past the block
+        i = slice(r0, r0 + rows - 1)
+        inv = np.reciprocal(np.sqrt(s, out=s), out=s).ravel()
+        z = m[2].ravel()
+
+        def dots(p, q, size, in_plane):
+            out = in_plane.ravel()
+            out[:size] += z[p:p + size] * z[q:q + size]
+            out[:size] *= inv[p:p + size]
+            out[:size] *= inv[q:q + size]
+            return out
+
+        along_x = dots(0, width, cells, near[0, i, None] + my[None, r0:] ** 2)
+        along_y = dots(0, 1, rows * width - 1, mx[r0:r0 + rows, None] ** 2 + near[1, None, r0:])
+        diagonal = near[0, i, None] + near[1, None, r0:]
+        ac = dots(0, width + 1, last, diagonal.copy())
+        bd = dots(width, 1, last, diagonal)
+        inside = [v.reshape(-1, width)[:, :-1] for v in (along_y, ac, bd)]
+        if min(v.min() for v in (along_x, *inside)) <= -1.0 + ANTIPODAL_TOL:
             raise DegeneratePlaquette(
                 f"two plaquette corners are antipodal within {ANTIPODAL_TOL:g}; refine the grid")
-        # a . (b x c) = b . w and a . (c x d) = -d . w with w = c x a
-        w = (c[1] * a[2] - c[2] * a[1], c[2] * a[0] - c[0] * a[2], c[0] * a[1] - c[1] * a[0])
-        omega = _solid_angle(_dot(b, w), ab, bc, ac) + _solid_angle(-_dot(d, w), ac, cd, ad)
-        interior += fold[rows] @ (omega @ fold)
-    return float(interior)
+        # a . (b x c) = a . (c x d) = a . ((b - a) x (c - b)) on the unnormalized
+        # corners, m_z dm_x dm_y - m_x dz_x dm_y - m_y dm_x dz_y: one 2-D determinant
+        triple = m[2][:-1] * step[0, i, None]
+        triple -= tilt[0, i, None]
+        triple *= step[1, r0:]
+        triple -= np.outer(step[0, i], tilt[1, r0:])
+        triple = triple.ravel()[:last]
+        triple *= inv[:last]
+        triple *= inv[width + 1:]
+        # Van Oosterom-Strackee denominators 1 + ab + bc + ac and 1 + ac + cd + ad
+        abc = 1.0 + ac[:last]
+        acd = abc + along_x[1:]
+        acd += along_y[:last]
+        abc += along_x[:last]
+        abc += along_y[width:width + last]
+        half_angles = np.zeros(cells)  # the solid angle of a triangle is 2 arctan2
+        np.arctan2(triple * inv[width:width + last], abc, out=half_angles[:last])
+        half_angles[:last] += np.arctan2(np.multiply(triple, inv[1:cells], out=abc), acd, out=acd)
+        half_angles = half_angles.reshape(-1, width)
+        half_angles[:, :len(square)] *= square
+        interior += fold[i] @ (half_angles @ swap_fold[r0:])
+    return 2.0 * interior
 
 
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:

@@ -25,10 +25,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -145,13 +147,14 @@ def _rows(header: str, *columns) -> list[str]:
     return [header] + [",".join(map(repr, row)) for row in zip(*(v.tolist() for v in values))]
 
 
-def _write_lines(handle, lines: list[str]) -> None:
+def _write_lines(handle, lines: Iterable[str]) -> None:
     """Each line and a newline, EMIT_LINES lines per write: no copy of the whole output is held."""
-    for start in range(0, len(lines), EMIT_LINES):
-        handle.write("\n".join(lines[start:start + EMIT_LINES]) + "\n")
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, EMIT_LINES)):
+        handle.write("\n".join(chunk) + "\n")
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         _write_lines(sys.stdout, lines)
         return
@@ -236,7 +239,16 @@ def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
             + f"> {_fmt(p)}" for index, p in zip(kept.tolist(), probs[kept].tolist())]
 
 
-def run_chain(config: dict) -> list[str]:
+def _shot_lines(tokens: list[str], shot_history: np.ndarray) -> Iterator[str]:
+    """'shot k measurements: ...' for each shot, formatted EMIT_LINES shots at a time."""
+    return itertools.chain.from_iterable(
+        [f"shot {k} measurements: {tokens[i]}"
+         for k, i in enumerate(shot_history[start:start + EMIT_LINES].tolist(), start + 1)]
+        for start in range(0, len(shot_history), EMIT_LINES))
+
+
+def run_chain(config: dict) -> Iterator[str]:
+    """The chain's output lines; the shot lines are formatted as they are written."""
     if config["script_path"] is None:
         raise ConfigError("chain needs a script_path key in the config")
     text = _read_text(config["script_path"], "script")
@@ -258,13 +270,12 @@ def run_chain(config: dict) -> list[str]:
         f"field_step={_fmt(config['epsilon'])} dt={_fmt(config['dt'])}"
     ]
     lines += [f"instr {instr.line_no} {instr.text}" for instr in instructions]
-    lines += [f"shot {k} measurements: {tokens[i]}"
-              for k, i in enumerate(run.shot_history.tolist(), start=1)]
-    lines.append("outcome frequencies:")
-    lines += [f"{token} -> {_fmt(freq)}"
-              for token, freq in zip(tokens, run.outcome_frequencies().values())]
-    lines.append("final probabilities:")
-    return lines + _probability_lines(run.final_state.probabilities(), run.final_state.n)
+    tail = ["outcome frequencies:"]
+    tail += [f"{token} -> {_fmt(freq)}"
+             for token, freq in zip(tokens, run.outcome_frequencies().values())]
+    tail.append("final probabilities:")
+    tail += _probability_lines(run.final_state.probabilities(), run.final_state.n)
+    return itertools.chain(lines, _shot_lines(tokens, run.shot_history), tail)
 
 
 def run_device(config: dict) -> list[str]:

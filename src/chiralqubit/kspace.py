@@ -75,10 +75,13 @@ def d_z(k, params: GapParams) -> complex:
 
 
 def texture_field(kx, ky, params: GapParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unnormalized texture components (m_x, m_y, m_z), each of the broadcast shape of kx, ky."""
+    """Unnormalized texture components (m_x, m_y, m_z) in their natural shapes.
+
+    m_x has the shape of kx, m_y that of ky and m_z their broadcast shape: the
+    in-plane components depend on one momentum each, so a mesh row block costs
+    one full-size array, not three.
+    """
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
     pref = params._inplane_prefactor()
-    return tuple(np.broadcast_arrays(
-        pref * kx, pref * params.chi * ky, kx * kx + ky * ky - params.mu
-    ))
+    return pref * kx, pref * params.chi * ky, kx * kx + ky * ky - params.mu

@@ -94,22 +94,27 @@ class TestPlaquette:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_degenerate_edge_detected(self, monkeypatch, axis):
-        # m_hat jumps from -z to +z where |k| along `axis` reaches x[40] and sits on the
-        # z axis on the mesh lines k_across = +-x[48] only, so the antipodal corner pairs
-        # are edges along `axis`, never plaquette diagonals, and those at k_across = x[48]
-        # lie in the quadrant the estimator walks.  The texture is even in k_x and k_y,
-        # so mirror nodes repeat each other and no cell across k = 0 adds a pair
+        # m_hat = (f(k_x), f(k_y), +-1) is swap symmetric (m_x and m_y trade places) and sits
+        # on the z axis only where f vanishes in both momenta: f(k) = 0 at k = x[39], x[40]
+        # and c.  m_z jumps from -z to +z where k_x + k_y passes c + (x[39] + x[40]) / 2,
+        # so the only antipodal corner pairs are the edge from (x[39], c) to (x[40], c)
+        # along k_x and its swap image along k_y.  With c = x[48] the octant (column >= row) holds the
+        # edge along k_x, with c = x[34] the edge along k_y.  The whole quadrant is one
+        # block, which also checks the swap image; one-row blocks check the octant only
         x, _ = chirality._mesh(8.0, 64)
+        c = x[48] if axis == 0 else x[34]
+        threshold = c + (x[39] + x[40]) / 2.0
+
+        def f(k):
+            return (k - x[39]) * (k - x[40]) * (k - c)
 
         def jump(kx, ky, params):
-            along, across = (kx, ky) if axis == 0 else (ky, kx)
-            flat, tilt = 0.0 * along, np.abs(across) - x[48]
-            mz = np.where(np.abs(along) >= x[40], 1.0, -1.0) + 0.0 * across
-            return tuple(np.broadcast_arrays(*((flat, tilt) if axis == 0 else (tilt, flat)), mz))
+            return f(kx), f(ky), np.where(kx + ky > threshold, 1.0, -1.0)
 
         monkeypatch.setattr(chirality, "texture_field", jump)
-        with pytest.raises(DegeneratePlaquette):
-            chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, 64)
+        for block in (chirality.BLOCK, 1):
+            with mock.patch.object(chirality, "BLOCK", block), pytest.raises(DegeneratePlaquette):
+                chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, 64)
 
     def test_quantization_random_gapped_parameters(self):
         rng = np.random.default_rng(2024)
@@ -255,7 +260,7 @@ def _triple(a, b, c):
 
 def six_gradient_quadrature_raw(params, k_max, n_grid):
     x, h = chirality._mesh(k_max, n_grid)
-    m = texture_field(x[:, None], x[None, :], params)
+    m = np.broadcast_arrays(*texture_field(x[:, None], x[None, :], params))
     norm = np.sqrt(_dot(m, m))
     unit = tuple(c / norm for c in m)
 
@@ -277,6 +282,12 @@ def six_gradient_quadrature_raw(params, k_max, n_grid):
     return -(total + cap.sum()) / (4.0 * math.pi)
 
 
+SYMMETRY_PARAMS = [
+    GapParams(1.0, 1.0, +1), GapParams(0.3, 40.0, -1), GapParams(2.0, -3.0, +1),
+    GapParams(0.05, -0.5, -1),
+]
+
+
 class TestMirrorSymmetry:
     """The symmetry the quadrant walk of both estimators relies on."""
 
@@ -286,10 +297,7 @@ class TestMirrorSymmetry:
         assert np.array_equal(x[::-1], -x)
         assert h == 2.0 * 7.3 / n_grid
 
-    @pytest.mark.parametrize("params", [
-        GapParams(1.0, 1.0, +1), GapParams(0.3, 40.0, -1), GapParams(2.0, -3.0, +1),
-        GapParams(0.05, -0.5, -1),
-    ])
+    @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
     def test_texture_reflects_bitwise(self, params):
         k = np.random.default_rng(7).uniform(-9.0, 9.0, 64)
         kx, ky = k[:, None], k[None, :]
@@ -307,6 +315,26 @@ class TestMirrorSymmetry:
         report = cross_validate(GapParams(0.3, 40.0, +1))
         assert report.plaquette.grid_size == 256
         assert len(calls) == 2
+
+
+class TestSwapSymmetry:
+    """The symmetry the octant walk of both estimators relies on."""
+
+    @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
+    def test_texture_swaps_bitwise(self, params):
+        # on random momenta and on the mesh nodes: m(k_y, k_x) = (m_y, m_x, m_z) for chi = +1
+        # and (-m_y, -m_x, m_z) for chi = -1, a reflection of the sphere either way
+        rng = np.random.default_rng(11)
+        for k in (rng.uniform(-9.0, 9.0, 64), chirality._mesh(7.3, 65)[0]):
+            mx, my, mz = np.broadcast_arrays(*texture_field(k[:, None], k[None, :], params))
+            swapped = np.broadcast_arrays(*texture_field(k[None, :], k[:, None], params))
+            for got, want in zip(swapped, (params.chi * my, params.chi * mx, mz)):
+                assert np.array_equal(got, want)
+
+
+# the default block and one that splits the octant into several blocks, most with a
+# shorter last block, for n_grid 32 to 256
+BLOCKS = [chirality.BLOCK, 100]
 
 
 class TestComponentKernels:
@@ -329,23 +357,25 @@ class TestComponentKernels:
         k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
         for method, estimator in (("quadrature", chern_quadrature), ("plaquette", chern_plaquette)):
             expected, worst = reference_raw(method, params, k_max, n_grid)
-            if method == "plaquette" and worst <= -1.0 + ANTIPODAL_TOL:
-                with pytest.raises(DegeneratePlaquette):
-                    estimator(params, k_max, n_grid)
-                continue
-            try:
-                raw = estimator(params, k_max, n_grid).raw
-            except NotConverged as exc:
-                raw = exc.result.raw
-            if method == "quadrature":
-                # summation-order rounding grows with the size of the sum
-                tol = 1e-12 * max(1.0, abs(expected))
-            else:
-                # corners near antipodal (a.b -> -1) make arctan2 ill-conditioned:
-                # last-bit differences in the dot products grow like 1 / (1 + a.b)
-                # (measured at most 4e-17 / (1 + a.b))
-                tol = 1e-12 * max(1.0, 1e-3 / (1.0 + worst))
-            assert abs(raw - expected) <= tol, (method, raw, expected, worst)
+            for block in BLOCKS:
+                with mock.patch.object(chirality, "BLOCK", block):
+                    if method == "plaquette" and worst <= -1.0 + ANTIPODAL_TOL:
+                        with pytest.raises(DegeneratePlaquette):
+                            estimator(params, k_max, n_grid)
+                        continue
+                    try:
+                        raw = estimator(params, k_max, n_grid).raw
+                    except NotConverged as exc:
+                        raw = exc.result.raw
+                if method == "quadrature":
+                    # summation-order rounding grows with the size of the sum
+                    tol = 1e-12 * max(1.0, abs(expected))
+                else:
+                    # corners near antipodal (a.b -> -1) make arctan2 ill-conditioned:
+                    # last-bit differences in the dot products grow like 1 / (1 + a.b)
+                    # (measured at most 4e-17 / (1 + a.b))
+                    tol = 1e-12 * max(1.0, 1e-3 / (1.0 + worst))
+                assert abs(raw - expected) <= tol, (method, block, raw, expected, worst)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -368,11 +398,13 @@ class TestComponentKernels:
         params = GapParams(delta, mu, chi)
         k_max = stretch * 3.0 * max(math.sqrt(max(mu, 0.0)), delta, 1.0)
         expected = six_gradient_quadrature_raw(params, k_max, n_grid)
-        try:
-            raw = chern_quadrature(params, k_max, n_grid).raw
-        except NotConverged as exc:
-            raw = exc.result.raw
-        assert abs(raw - expected) <= 1e-12 * max(1.0, abs(expected)), (raw, expected)
+        for block in BLOCKS:
+            try:
+                with mock.patch.object(chirality, "BLOCK", block):
+                    raw = chern_quadrature(params, k_max, n_grid).raw
+            except NotConverged as exc:
+                raw = exc.result.raw
+            assert abs(raw - expected) <= 1e-12 * max(1.0, abs(expected)), (block, raw, expected)
 
     @pytest.mark.parametrize(
         "n_grid_start, mu, first_grid",
@@ -399,7 +431,7 @@ def _boundary_loop(u):
 
 
 def whole_mesh_cap_closure(params, x):
-    m = texture_field(x[:, None], x[None, :], params)
+    m = np.broadcast_arrays(*texture_field(x[:, None], x[None, :], params))
     mx, my = m[0][:, :1], m[1][:1, :]
     edge = _boundary_loop(np.sqrt(mx * mx + my * my + m[2] * m[2]))
     loop = tuple(_boundary_loop(c) / edge for c in m)
@@ -452,27 +484,28 @@ class TestBlockSeams:
     @pytest.mark.parametrize("rows", [1, 2, 5])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_antipodal_pair_across_seam_detected(self, monkeypatch, n_grid, rows, offset):
-        # the plaquette walks the quadrant of mesh rows and columns from `start` on, in
-        # blocks of `rows` rows.  m_hat jumps from -z to +z between quadrant rows
-        # jump - 1 and jump, next to the first block seam (quadrant row `rows`, shared by
-        # the first two blocks), and sits on the z axis on one quadrant column only: a
-        # single antipodal pair along k_x in the quadrant.  The texture is mirror
-        # symmetric: even in k_y, and even in k_x except that m_z is odd in k_x (a
-        # reflection of the sphere) when the pair straddles k_x = 0, where an even
-        # texture repeats itself.  Mirror nodes along k_y repeat each other, so no cell
-        # across k_y = 0 adds a diagonal pair
+        # the plaquette walks the octant of the quadrant nodes x[start:] in blocks of at
+        # most `rows` rows, split evenly: the first seam is quadrant row `seam`, shared by
+        # the first two blocks.  m_hat = (f(k_x), f(k_y), +-1) is swap symmetric and sits on
+        # the z axis only where f vanishes in both momenta: at quadrant rows jump - 1 and
+        # jump, next to the seam, and at the last column.  m_z jumps from -z to +z where
+        # k_x + k_y passes the middle of the edge between those rows on the last column,
+        # so the one antipodal pair in the octant is that edge along k_x; for even n_grid
+        # and jump = 1 it straddles k_x = 0.  Its swap image on the last row lies left of
+        # the columns the last block walks
         x, _ = chirality._mesh(8.0, n_grid)
         start = (n_grid - 1) // 2
-        jump = start + max(1, rows + offset)
-        straddle = x[jump - 1] < 0.0
-        column = n_grid - 1 - n_grid // 3
+        monkeypatch.setattr(chirality, "BLOCK", rows * (n_grid - start))
+        seam = chirality._block_rows(n_grid - 1 - start, n_grid - start)
+        low, high, c = x[start + max(1, seam + offset) - 1], x[start + max(1, seam + offset)], x[-1]
+        threshold = c + (low + high) / 2.0
+
+        def f(k):
+            return (k - low) * (k - high) * (k - c)
 
         def seam_texture(kx, ky, params):
-            mz = np.sign(kx) if straddle else np.where(np.abs(kx) >= x[jump], 1.0, -1.0)
-            mz = mz + 0.0 * ky
-            return tuple(np.broadcast_arrays(0.0 * kx, np.abs(ky) - x[column], mz))
+            return f(kx), f(ky), np.where(kx + ky > threshold, 1.0, -1.0)
 
-        monkeypatch.setattr(chirality, "BLOCK", rows * (n_grid - start))
         monkeypatch.setattr(chirality, "texture_field", seam_texture)
         with pytest.raises(DegeneratePlaquette):
             chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, n_grid)
