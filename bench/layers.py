@@ -6,8 +6,11 @@
 It imports the package from the src/ directory next to it.  At every grid
 size n it times kspace.texture_field on the first octant block of the
 quadrature (max(1, chirality.BLOCK // m) rows of the quadrant's m = n // 2
-nodes per side, the widest block the estimators request),
-chirality.chern_quadrature, chirality.chern_plaquette, and
+nodes per side, the widest block the estimators request), the three level
+kernels chirality._cap_closure, chirality._quadrature_sum and
+chirality._plaquette_sum on a mesh and mesh lines built outside the timed
+call, chirality.chern_quadrature, chirality.chern_plaquette (which also
+check their inputs and build the mesh and lines), and
 chirality.cross_validate held to that one grid (n_grid_start = n_grid_max =
 n), all at the point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
 At every register size n it times, on one fixed random n-qubit state and
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import json
 import math
 import os
@@ -67,7 +69,11 @@ from chiralqubit.chirality import (  # noqa: E402
     BLOCK,
     MAX_GRID,
     NotConverged,
+    _cap_closure,
+    _lines,
     _mesh,
+    _plaquette_sum,
+    _quadrature_sum,
     chern_plaquette,
     chern_quadrature,
     cross_validate,
@@ -120,12 +126,19 @@ def _block_texture(n: int):
     return texture_field(xq[:rows, None], xq[None, :], PARAMS)
 
 
-GRID_KERNELS = {
-    "kspace.texture_field": _block_texture,
-    "chirality.chern_quadrature": lambda n: chern_quadrature(PARAMS, K_MAX, n),
-    "chirality.chern_plaquette": lambda n: chern_plaquette(PARAMS, K_MAX, n),
-    "chirality.cross_validate": lambda n: cross_validate(PARAMS, K_MAX, n, n),
-}
+def grid_kernels(n: int) -> dict:
+    """Zero-argument calls of the grid kernels at n_grid = n (level kernels on a prebuilt mesh)."""
+    x, h = _mesh(K_MAX, n)
+    lines = _lines(PARAMS, x)
+    return {
+        "kspace.texture_field": lambda: _block_texture(n),
+        "chirality._cap_closure": lambda: _cap_closure(PARAMS, x),
+        "chirality._quadrature_sum": lambda: _quadrature_sum(PARAMS, x, h, lines),
+        "chirality._plaquette_sum": lambda: _plaquette_sum(PARAMS, x, lines),
+        "chirality.chern_quadrature": lambda: chern_quadrature(PARAMS, K_MAX, n),
+        "chirality.chern_plaquette": lambda: chern_plaquette(PARAMS, K_MAX, n),
+        "chirality.cross_validate": lambda: cross_validate(PARAMS, K_MAX, n, n),
+    }
 
 
 def register_kernels(n: int) -> dict:
@@ -254,8 +267,7 @@ def main(argv=None) -> int:
 
     layers = []
     for n in args.sizes:
-        for name, kernel in GRID_KERNELS.items():
-            call = functools.partial(kernel, n)
+        for name, call in grid_kernels(n).items():
             best, outcome = time_kernel(call, args.repeats)
             peak = peak_mb(call)
             layers.append({"kernel": name, "n_grid": n, "best_s": best, "peak_mb": peak,

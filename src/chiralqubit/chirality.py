@@ -14,9 +14,8 @@ Two estimators are provided and must agree:
   k_x only, m_y with k_y only, m_z = k_x^2 + k_y^2 - mu), so the derivatives
   are 1-D central differences along single mesh lines, and the integrand is
   m . (dm/dk_x x dm/dk_y) / |m|^3, which equals the m_hat form exactly: the
-  parts of d m_hat along m_hat drop out of the triple product.  Differencing
-  the normalized vectors directly loses two to three digits and fails the
-  convergence bound on grids where this form is already exact.
+  parts of d m_hat along m_hat drop out of the triple product (differencing
+  the normalized vectors loses two to three digits).
 * chern_plaquette: the discrete degree.  Each mesh cell contributes the
   signed solid angle of the spherical quadrilateral spanned by m_hat at its
   corners (two-triangle split, Van Oosterom-Strackee angles).
@@ -25,9 +24,10 @@ Both estimators close the finite integration square by coning its boundary
 image to the north pole +z (the image of k -> infinity), which accounts for
 the truncated tail.  For the plaquette method this closure makes the sum of
 signed triangle areas an exact multiple of 4pi up to float rounding, so its
-residual reflects numerical noise only.  The failure mode of a too-coarse
-plaquette mesh is a silently wrong integer, which is why cross_validate runs
-both methods and insists they agree.
+residual reflects numerical noise only.  A too-coarse mesh gives a silently
+wrong integer, so cross_validate insists the methods agree, and a quadrature
+level fails (NotConverged) when neighbouring nodes of its k_x line at k_y =
+x[n // 2] are 90 degrees or more apart (dot <= 0): differences miss that turn.
 
 Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
 m_x changes sign, a reflection of the sphere, while the orientation of the
@@ -48,24 +48,25 @@ weight.  Plaquette cells i >= (n_grid - 1) // 2 carry weight 2 per axis, but
 for even n_grid the cell across k = 0 is its own mirror and carries 1.  An
 entry off the diagonal carries a further 2 for its swap image (j, i); a
 diagonal entry is its own image and keeps 1 (the swap maps the a-c split of a
-diagonal cell onto itself and exchanges its two triangles).
-
-The antipodal check still sees every corner pair of the mesh: reflections and
-the swap keep dot products, the mirrors map the quadrant onto the other three,
-and the swap maps the k_x edges of cell (i, j) onto the k_y edges of cell
-(j, i) and its diagonals onto that cell's diagonals, so each pair of a cell
-below the diagonal has its image in a cell the walk checks.
+diagonal cell onto itself and exchanges its two triangles).  The antipodal
+check still sees every corner pair of the mesh: reflections and the swap keep
+dot products, the mirrors map the quadrant onto the other three, and the swap
+maps the k_x edges of cell (i, j) onto the k_y edges of cell (j, i) and its
+diagonals onto that cell's diagonals, so each pair of a cell below the
+diagonal has its image in a cell the walk checks.  The quarter turn
+k -> (-k_y, k_x) rotates m about z and maps each side of the boundary loop onto
+the next: the cap closure is four times the side k_y = x[0].
 
 The walk goes in row blocks of the quadrant's n nodes per side (_blocks) and
 holds no n x n array: memory is a few BLOCK-point block arrays plus O(n_grid)
-vectors.  The quadrature sums each row over the whole quadrant row, zero left
+vectors, the 1-D lines through (x[n // 2], x[n // 2]) built once per level
+(_lines).  The quadrature sums each row over the whole quadrant row, zero left
 of the diagonal, so its raw value is the same bit for bit for every block
 size.  The plaquette lays each block out flat, so that every corner array is
 a contiguous slice, and both triangles of a cell share one raw triple
 product: for this separable texture b - a = c - d and c - b = d - a, so
 a . (b x c) = a . (c x d) = a . ((b - a) x (c - b)), one 2-D determinant of
-the edge components scaled by the corners' inverse norms.  The cap closure
-evaluates the texture on the whole boundary loop, which is O(n_grid).
+the edge components scaled by the corners' inverse norms.
 """
 
 from __future__ import annotations
@@ -102,12 +103,12 @@ class NotConverged(RuntimeError):
     Carries the offending partial result in the ``result`` attribute.
     """
 
-    def __init__(self, result: "ChernResult"):
+    def __init__(self, result: "ChernResult", message: str | None = None):
         self.result = result
-        super().__init__(
+        super().__init__(message or (
             f"raw value {result.raw} is {result.residual:.3e} from the nearest "
             f"integer (limit {RESIDUAL_LIMIT:g}) at n_grid={result.grid_size}"
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -165,20 +166,18 @@ def _dot(p, q):
 
 
 def _blocks(params: GapParams, xq: np.ndarray, overlap: int = 0):
-    """Row blocks of the octant of the quadrant nodes xq, from their first row r0.
+    """Yield r0, texture m (natural shapes) and m . m of each row block of the quadrant xq.
 
-    The len(xq) - overlap rows split evenly into blocks of at most
-    max(1, BLOCK // len(xq)) rows.  A block holds the columns from r0 on: the
-    octant entries (i, j >= i) of its rows and the lower triangle of its leading
-    square.  Yields r0, the block's texture m in its natural shapes (with
-    `overlap` more rows), m . m and the octant factor of its leading square.
+    The len(xq) - overlap rows split evenly into blocks of at most max(1, BLOCK // len(xq))
+    rows (m has `overlap` more); a block holds the columns from its first row r0 on: the
+    octant entries (i, j >= i) of its rows and the lower triangle of its leading square.
     """
     count = len(xq) - overlap
     rows = _block_rows(count, len(xq))
     for r0 in range(0, count, rows):
         m = texture_field(xq[r0:r0 + rows + overlap, None], xq[None, r0:], params)
         s = m[0] * m[0] + m[1] * m[1] + m[2] * m[2]
-        yield r0, m, s, _octant_factor(len(s) - overlap)
+        yield r0, m, s
 
 
 def _block_rows(count: int, width: int) -> int:
@@ -199,88 +198,99 @@ def _octant_factor(rows: int) -> np.ndarray:
     return factor
 
 
-def _solid_angle(abc, ab, bc, ac) -> np.ndarray:
-    """Signed solid angle of the spherical triangle (a, b, c) from a . (b x c) and the dots."""
-    return 2.0 * np.arctan2(abc, 1.0 + ab + bc + ac)
-
-
 def _cap_closure(params: GapParams, x: np.ndarray) -> float:
     """Solid angle of the cone closing the boundary loop of m_hat onto the north pole."""
-    # mesh boundary counterclockwise from the corner (0, 0) back to it; k_y trails k_x by a side
-    sides = (x[:-1], np.full(len(x) - 1, x[-1]), x[:0:-1], np.full(len(x) - 1, x[0]))
-    kx = np.concatenate([*sides, x[:1]])
-    m = texture_field(kx, np.concatenate([sides[3], *sides[:3], x[:1]]), params)
+    # four times the side k_y = x[0], k_x from x[0] to x[-1]; 2 arctan2 per edge's cone
+    m = texture_field(x, x[0], params)
     edge = np.sqrt(_dot(m, m))
     loop = tuple(c / edge for c in m)
     a, b = tuple(v[:-1] for v in loop), tuple(v[1:] for v in loop)
     abc = a[1] * b[0] - a[0] * b[1]  # a . (pole x b), pole = +z
-    return float(_solid_angle(abc, a[2], b[2], _dot(a, b)).sum())
+    return 8.0 * float(np.arctan2(abc, 1.0 + a[2] + b[2] + _dot(a, b)).sum())
 
 
-def _finish(total_solid_angle: float, n_grid: int, k_max: float, method: str) -> ChernResult:
+def _lines(params: GapParams, x: np.ndarray) -> np.ndarray:
+    """m_x, m_y, m_z along k_x and m_z along k_y: the mesh lines through (x[n // 2], x[n // 2])."""
+    xl = x[len(x) // 2 - 1:]  # from one node before; the lines through -x[n // 2] are the same
+    mx, _, mz_x = texture_field(xl, xl[1], params)
+    _, my, mz_y = texture_field(xl[1], xl, params)
+    return np.array((mx, my, mz_x, mz_y))
+
+
+def _derivatives(lines: np.ndarray, h: float) -> np.ndarray:
+    """np.gradient(..., edge_order=2) of the lines on x[n // 2:]: central, one-sided at the end."""
+    d = np.empty((4, lines.shape[1] - 1))
+    d[:, :-1] = (lines[:, 2:] - lines[:, :-2]) / (2.0 * h)
+    d[:, -1] = 0.5 / h * lines[:, -3] + -2.0 / h * lines[:, -2] + 1.5 / h * lines[:, -1]
+    return d
+
+
+def _finish(total: float, n_grid: int, k_max: float, method: str, lines=None) -> ChernResult:
     # overall sign fixes the orientation convention N(chi=+1, mu>0) = +1
-    raw = -total_solid_angle / (4.0 * math.pi)
+    raw = -total / (4.0 * math.pi)
     n_int = int(round(raw))
     residual = abs(raw - n_int)
     result = ChernResult(n_int, raw, residual, n_grid, k_max, method)
+    if lines is not None:  # the quadrature's resolution guard: unnormalized neighbour dots
+        mx, mz = lines[0], lines[2]  # along the k_x line, where m_y = lines[1, 1]
+        if (mx[:-1] * mx[1:] + lines[1, 1] ** 2 + mz[:-1] * mz[1:]).min() <= 0.0:
+            raise NotConverged(result, f"the texture is unresolved at n_grid={n_grid}: "
+                               "neighbouring mesh nodes are 90 degrees or more apart")
     if residual >= RESIDUAL_LIMIT:
         raise NotConverged(result)
     return result
 
 
-def _quadrature_sum(params: GapParams, x: np.ndarray, h: float) -> float:
+def _quadrature_sum(params: GapParams, x: np.ndarray, h: float, lines: np.ndarray) -> float:
     """Trapezoid sum of the integrand over the mesh, walked on the octant of x[n // 2:]."""
-    mid = len(x) // 2  # the smallest |k| >= 0 of the mesh: h/2, or 0 for odd n
-    mx, _, mz_x = texture_field(x, x[mid], params)
-    _, my, mz_y = texture_field(x[mid], x, params)
-    px, py, qx, qy = np.gradient(np.stack((mx, my, mz_x, mz_y)), h, axis=1, edge_order=2)[:, mid:]
-    trapezoid = np.full(len(x), h)
-    trapezoid[[0, -1]] = h / 2.0
-    w = trapezoid[mid:] + trapezoid[::-1][mid:]
-    if len(x) % 2:
-        w[0] = trapezoid[mid]  # the node at k = 0 is its own mirror
-    ax, ay, w2 = mx[mid:] * qx, my[mid:] * qy, 2.0 * w
+    px, py, qx, qy = _derivatives(lines, h)
+    ax, ay = lines[0, 1:] * qx, lines[1, 1:] * qy  # m_x q_x and m_y q_y
+    w = np.full(len(px), 2.0 * h)  # folded trapezoid weights w_i + w_(n-1-i); for odd n
+    w[0], w[-1] = 2.0 * h / (1 + len(x) % 2), h  # the node at k = 0 is its own mirror
+    w2 = 2.0 * w
     # each row's k_y sum runs over the whole quadrant row, zero left of the diagonal,
     # so it is the same sum for every block size (a gemv would not keep that)
     field = np.empty((_block_rows(len(w), len(w)), len(w)))
     inner = np.empty(len(w))
-    for r0, m, s, square in _blocks(params, x[mid:]):
+    for r0, m, s in _blocks(params, x[len(x) // 2:]):  # from the smallest |k|: h/2, or 0
         rows = slice(r0, r0 + len(s))
         # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
         numerator = m[2] * px[rows, None]
         numerator -= ax[rows, None]
         numerator *= py[r0:]
-        numerator -= np.outer(px[rows], ay[r0:])
+        numerator -= px[rows, None] * ay[r0:]
         numerator /= s * np.sqrt(s)
         field[:, max(0, r0 - len(field)):r0] = 0.0  # the previous block's leading square
         row = field[:len(s)]
         np.multiply(numerator, w2[r0:], out=row[:, r0:])
-        row[:, r0:rows.stop] *= square
+        row[:, r0:rows.stop] *= _octant_factor(len(s))
         inner[rows] = row.sum(axis=1)
     return float(w @ inner)
 
 
-def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
+@functools.cache
+def _cell_folds(nodes: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mirror fold per axis of the cells a quadrant of `nodes` nodes starts (see Layout), and its
+    double for the swap; the last node starts no cell (its "cells" wrap to the next row)."""
+    fold = np.full(nodes, 2.0)
+    fold[0], fold[-1] = 1.0 + odd, 0.0
+    swap_fold = 2.0 * fold
+    fold.flags.writeable = swap_fold.flags.writeable = False
+    return fold, swap_fold
+
+
+def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float:
     """Signed solid angle of the mesh cells, walked on the cells of the octant of its quadrant."""
-    start = (len(x) - 1) // 2  # cell i spans nodes i, i + 1 and mirrors cell n - 2 - i
-    xq = x[start:]
-    # the mesh lines through the quadrant corner and each node's next neighbour along them
-    mx, _, mz_x = texture_field(xq, xq[0], params)
-    _, my, mz_y = texture_field(xq[0], xq, params)
-    line = np.stack((mx, my, mz_x, mz_y))
-    step = np.zeros_like(line)
-    step[:, :-1] = line[:, 1:]
+    xq = x[(len(x) - 1) // 2:]  # cell i spans nodes i, i + 1 and mirrors cell n - 2 - i
+    # the mesh lines on the quadrant's nodes xq and each node's next neighbour along them
+    line = lines[:, len(x) % 2:]
+    step = np.concatenate((line[:, 1:], np.zeros((4, 1))), axis=1)
     near = line[:2] * step[:2]  # m_x m_x' and m_y m_y' of neighbouring nodes
     step -= line  # the edges b - a = c - d = (dm_x, 0, dz_x) and c - b = d - a = (0, dm_y, dz_y)
     tilt = line[:2] * step[2:]  # m_x dz_x and m_y dz_y
-    # cell weights: mirror fold per axis, times 2 for the swap along columns; the last
-    # column starts no cell (in the flat layout below its "cells" wrap to the next row)
-    fold = np.full(len(xq), 2.0)
-    fold[0] = 1.0 + len(x) % 2  # for even n the first cell straddles k = 0: its own mirror
-    fold[-1] = 0.0
-    swap_fold = 2.0 * fold
+    fold, swap_fold = _cell_folds(len(xq), len(x) % 2)
     interior = 0.0
-    for r0, m, s, square in _blocks(params, xq, overlap=1):
+    for r0, m, s in _blocks(params, xq, overlap=1):
         # flat node k of the block (row k // W, column k % W) is corner a of cell k, with
         # b = k + W, c = k + W + 1 and d = k + 1; node dots are the unnormalized
         # m_z m_z' plus the separable in-plane part, scaled by the inverse norms
@@ -293,18 +303,20 @@ def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
 
         def dots(p, q, size, in_plane):
             out = in_plane.ravel()
-            out[:size] += z[p:p + size] * z[q:q + size]
-            out[:size] *= inv[p:p + size]
-            out[:size] *= inv[q:q + size]
+            head = out[:size]
+            head += z[p:p + size] * z[q:q + size]
+            head *= inv[p:p + size]
+            head *= inv[q:q + size]
             return out
 
-        along_x = dots(0, width, cells, near[0, i, None] + my[None, r0:] ** 2)
-        along_y = dots(0, 1, rows * width - 1, mx[r0:r0 + rows, None] ** 2 + near[1, None, r0:])
+        along_x = dots(0, width, cells, near[0, i, None] + line[1, None, r0:] ** 2)
+        along_y = dots(0, 1, s.size - 1, line[0, r0:r0 + rows, None] ** 2 + near[1, None, r0:])
         diagonal = near[0, i, None] + near[1, None, r0:]
         ac = dots(0, width + 1, last, diagonal.copy())
         bd = dots(width, 1, last, diagonal)
-        inside = [v.reshape(-1, width)[:, :-1] for v in (along_y, ac, bd)]
-        if min(v.min() for v in (along_x, *inside)) <= -1.0 + ANTIPODAL_TOL:
+        # the wrap cells of the last column pair no mesh corners
+        along_y[width - 1::width] = ac[width - 1::width] = bd[width - 1::width] = 1.0
+        if min(along_x.min(), along_y.min(), ac.min(), bd.min()) <= -1.0 + ANTIPODAL_TOL:
             raise DegeneratePlaquette(
                 f"two plaquette corners are antipodal within {ANTIPODAL_TOL:g}; refine the grid")
         # a . (b x c) = a . (c x d) = a . ((b - a) x (c - b)) on the unnormalized
@@ -312,7 +324,7 @@ def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
         triple = m[2][:-1] * step[0, i, None]
         triple -= tilt[0, i, None]
         triple *= step[1, r0:]
-        triple -= np.outer(step[0, i], tilt[1, r0:])
+        triple -= step[0, i, None] * tilt[1, r0:]
         triple = triple.ravel()[:last]
         triple *= inv[:last]
         triple *= inv[width + 1:]
@@ -322,11 +334,12 @@ def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
         acd += along_y[:last]
         abc += along_x[:last]
         abc += along_y[width:width + last]
-        half_angles = np.zeros(cells)  # the solid angle of a triangle is 2 arctan2
-        np.arctan2(triple * inv[width:width + last], abc, out=half_angles[:last])
-        half_angles[:last] += np.arctan2(np.multiply(triple, inv[1:cells], out=abc), acd, out=acd)
+        half_angles = np.empty(cells)  # the solid angle of a triangle is 2 arctan2
+        half_angles[last] = 0.0
+        head = np.arctan2(triple * inv[width:width + last], abc, out=half_angles[:last])
+        head += np.arctan2(np.multiply(triple, inv[1:cells], out=abc), acd, out=acd)
         half_angles = half_angles.reshape(-1, width)
-        half_angles[:, :len(square)] *= square
+        half_angles[:, :rows - 1] *= _octant_factor(rows - 1)
         interior += fold[i] @ (half_angles @ swap_fold[r0:])
     return 2.0 * interior
 
@@ -334,23 +347,23 @@ def _plaquette_sum(params: GapParams, x: np.ndarray) -> float:
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via finite-difference derivatives and the trapezoid rule.
 
-    The derivatives are 1-D differences of 1-D texture lines: p_x = dm_x/dk_x,
-    p_y = dm_y/dk_y, and q_x = dm_z/dk_x, q_y = dm_z/dk_y along the middle mesh
-    lines.  With d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y) the numerator of
-    the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products, and each
-    block's weighted k_y sums fill one vector for the final k_x sum.
+    With p_x = dm_x/dk_x, p_y = dm_y/dk_y, q_x = dm_z/dk_x and q_y = dm_z/dk_y on the
+    middle mesh lines, d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y), so the numerator
+    of the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products.
     """
     _check_inputs(params, k_max, n_grid)
     x, h = _mesh(k_max, n_grid)
-    return _finish(_quadrature_sum(params, x, h) + _cap_closure(params, x),
-                   n_grid, k_max, "quadrature")
+    lines = _lines(params, x)
+    return _finish(_quadrature_sum(params, x, h, lines) + _cap_closure(params, x),
+                   n_grid, k_max, "quadrature", lines)
 
 
 def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via the discrete degree (signed spherical plaquette areas)."""
     _check_inputs(params, k_max, n_grid)
     x, _ = _mesh(k_max, n_grid)
-    return _finish(_plaquette_sum(params, x) + _cap_closure(params, x), n_grid, k_max, "plaquette")
+    return _finish(_plaquette_sum(params, x, _lines(params, x)) + _cap_closure(params, x),
+                   n_grid, k_max, "plaquette")
 
 
 def _conditioned(params: GapParams) -> GapParams:
@@ -391,10 +404,11 @@ def cross_validate(
     while n_grid <= n_grid_max:
         _check_inputs(work, cutoff, n_grid)
         x, h = _mesh(cutoff, n_grid)
-        cap = _cap_closure(work, x)  # shared by both estimators
+        lines, cap = _lines(work, x), _cap_closure(work, x)  # shared by both estimators
         try:
-            quad = _finish(_quadrature_sum(work, x, h) + cap, n_grid, cutoff, "quadrature")
-            plaq = _finish(_plaquette_sum(work, x) + cap, n_grid, cutoff, "plaquette")
+            quad = _finish(_quadrature_sum(work, x, h, lines) + cap, n_grid, cutoff, "quadrature",
+                           lines)
+            plaq = _finish(_plaquette_sum(work, x, lines) + cap, n_grid, cutoff, "plaquette")
         except (NotConverged, DegeneratePlaquette) as exc:
             last_exc = exc
             n_grid *= 2

@@ -159,15 +159,18 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
         _write_lines(sys.stdout, lines)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             _write_lines(handle, lines)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _sample_count(t_max: float, dt: float) -> int:

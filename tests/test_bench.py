@@ -8,6 +8,9 @@ from pathlib import Path
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 GRID_KERNELS = [
     "kspace.texture_field",
+    "chirality._cap_closure",
+    "chirality._quadrature_sum",
+    "chirality._plaquette_sum",
     "chirality.chern_quadrature",
     "chirality.chern_plaquette",
     "chirality.cross_validate",

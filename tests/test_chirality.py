@@ -116,6 +116,34 @@ class TestPlaquette:
             with mock.patch.object(chirality, "BLOCK", block), pytest.raises(DegeneratePlaquette):
                 chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, 64)
 
+    @pytest.mark.parametrize("diagonal", ["ac", "bd"])
+    def test_antipodal_diagonal_detected(self, monkeypatch, diagonal):
+        # m_hat = (f(k_x), f(k_y), g) with f = +-1 alternating from node to node: the in-plane
+        # parts of the diagonal corners of every cell are opposite and those of its edges
+        # orthogonal.  g = 5, but +1 and -1 at the two corners of one diagonal of cell
+        # (40, 42) and at their swap images, so the one antipodal pair in the octant is that
+        # diagonal: a-c, or b-d (a = (i, j), b = (i + 1, j), c = (i + 1, j + 1), d = (i, j + 1))
+        x, h = chirality._mesh(8.0, 64)
+        i, j = 40, 42
+        if diagonal == "ac":
+            plus, minus = (x[i], x[j]), (x[i + 1], x[j + 1])
+        else:
+            plus, minus = (x[i + 1], x[j]), (x[i], x[j + 1])
+
+        def f(k):
+            return np.where(np.round((k - x[0]) / h) % 2 == 0, 1.0, -1.0)
+
+        def texture(kx, ky, params):
+            g = 5.0 + 0.0 * (kx + ky)
+            for (p, q), value in ((plus, 1.0), (minus, -1.0)):
+                g = np.where((kx == p) & (ky == q) | (kx == q) & (ky == p), value, g)
+            return f(kx), f(ky), g
+
+        monkeypatch.setattr(chirality, "texture_field", texture)
+        for block in (chirality.BLOCK, 1):
+            with mock.patch.object(chirality, "BLOCK", block), pytest.raises(DegeneratePlaquette):
+                chern_plaquette(GapParams(1.0, 1.0, +1), 8.0, 64)
+
     def test_quantization_random_gapped_parameters(self):
         rng = np.random.default_rng(2024)
         count = 0
@@ -308,13 +336,16 @@ class TestMirrorSymmetry:
                 assert np.array_equal(g, w)
 
     def test_cap_closure_once_per_level(self, monkeypatch):
+        # the cap closure and the mesh lines are shared by both estimators of a level
         calls = []
-        cap = chirality._cap_closure
-        monkeypatch.setattr(chirality, "_cap_closure", lambda *args: calls.append(1) or cap(*args))
+        for name in ("_cap_closure", "_lines"):
+            kernel = getattr(chirality, name)
+            monkeypatch.setattr(chirality, name, lambda *args, name=name, kernel=kernel:
+                                calls.append(name) or kernel(*args))
         # 128^2 does not converge at mu = 40 (test_cross_validate_converges), 256^2 does
         report = cross_validate(GapParams(0.3, 40.0, +1))
         assert report.plaquette.grid_size == 256
-        assert len(calls) == 2
+        assert sorted(calls) == ["_cap_closure"] * 2 + ["_lines"] * 2
 
 
 class TestSwapSymmetry:
@@ -330,6 +361,68 @@ class TestSwapSymmetry:
             swapped = np.broadcast_arrays(*texture_field(k[None, :], k[:, None], params))
             for got, want in zip(swapped, (params.chi * my, params.chi * mx, mz)):
                 assert np.array_equal(got, want)
+
+
+class TestSharedLines:
+    """The mesh lines built once per level are the arrays each sum built for itself."""
+
+    @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
+    @pytest.mark.parametrize("n_grid", [32, 33, 64, 65])
+    def test_lines_are_each_sums_lines(self, params, n_grid):
+        x, _ = chirality._mesh(7.3, n_grid)
+        lines = chirality._lines(params, x)
+        # the quadrature's lines through x[mid] on the whole mesh, from node mid - 1 on
+        mid = n_grid // 2
+        mx, _, mz_x = texture_field(x, x[mid], params)
+        _, my, mz_y = texture_field(x[mid], x, params)
+        assert np.array_equal(lines, np.stack((mx, my, mz_x, mz_y))[:, mid - 1:])
+        # the plaquette's lines through the quadrant corner x[start] on x[start:]; for odd
+        # n_grid they start one node later
+        xq = x[(n_grid - 1) // 2:]
+        mx, _, mz_x = texture_field(xq, xq[0], params)
+        _, my, mz_y = texture_field(xq[0], xq, params)
+        assert np.array_equal(lines[:, n_grid % 2:], np.stack((mx, my, mz_x, mz_y)))
+
+    @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
+    @pytest.mark.parametrize("n_grid", [32, 33, 64, 1024])
+    def test_derivatives_are_gradient(self, params, n_grid):
+        x, h = chirality._mesh(7.3, n_grid)
+        mid = n_grid // 2
+        mx, _, mz_x = texture_field(x, x[mid], params)
+        _, my, mz_y = texture_field(x[mid], x, params)
+        expected = np.gradient(np.stack((mx, my, mz_x, mz_y)), h, axis=1, edge_order=2)[:, mid:]
+        assert np.array_equal(chirality._derivatives(chirality._lines(params, x), h), expected)
+
+
+class TestResolutionGuard:
+    """A quadrature level fails when neighbouring nodes of its k_x line are >= 90 degrees apart."""
+
+    # gap 1e-3 at mu = 100 and k_max = 80: across the Fermi circle m_hat turns by almost
+    # 180 degrees between two neighbouring nodes of every grid up to 1024^2
+    NARROW = GapParams(0.001, 100.0, +1)
+
+    def test_unresolved_quadrature_not_converged(self):
+        # the residual alone would report N = 0 (raw 3e-7) for chi = +1, mu > 0
+        with pytest.raises(NotConverged, match="unresolved at n_grid=128") as excinfo:
+            chern_quadrature(self.NARROW, 80.0, 128)
+        result = excinfo.value.result
+        assert (result.n_integer, result.grid_size, result.method) == (0, 128, "quadrature")
+        assert result.residual < chirality.RESIDUAL_LIMIT
+        # the plaquette resolves the same mesh
+        assert chern_plaquette(self.NARROW, 80.0, 128).n_integer == +1
+
+    def test_cross_validate_fails_every_level(self):
+        # the plaquette reports N = 1 at every grid while the quadrature is unresolved, so
+        # the levels fail instead of disagreeing
+        with pytest.raises(NotConverged, match="unresolved at n_grid=1024"):
+            cross_validate(self.NARROW, k_max=80.0)
+
+    @pytest.mark.parametrize("n_grid", [128, 256, 512, 1024])
+    def test_silent_on_chern_cfg(self, n_grid):
+        # configs/chern.cfg (gap 1, mu 1, chi +1, automatic cutoff): every level that
+        # cross_validate may try passes the guard and converges where it starts
+        report = cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=n_grid)
+        assert report.quadrature.grid_size == n_grid
 
 
 # the default block and one that splits the octant into several blocks, most with a
@@ -425,19 +518,20 @@ class TestComponentKernels:
             assert report.plaquette.grid_size == report.quadrature.grid_size
 
 
-# Reference: the cap closure as it was computed from the whole (n, n) texture.
+# Reference: the cap closure's per-edge solid angles on the whole boundary loop of the
+# (n, n) texture, counterclockwise from the corner (0, 0): four sides of n - 1 edges.
 def _boundary_loop(u):
     return np.concatenate([u[:-1, 0], u[-1, :-1], u[::-1, -1][:-1], u[0, ::-1][:-1]])
 
 
-def whole_mesh_cap_closure(params, x):
+def whole_mesh_cap_angles(params, x):
     m = np.broadcast_arrays(*texture_field(x[:, None], x[None, :], params))
     mx, my = m[0][:, :1], m[1][:1, :]
     edge = _boundary_loop(np.sqrt(mx * mx + my * my + m[2] * m[2]))
     loop = tuple(_boundary_loop(c) / edge for c in m)
     nxt = tuple(np.roll(v, -1) for v in loop)
     abc = loop[1] * nxt[0] - loop[0] * nxt[1]
-    return float(chirality._solid_angle(abc, loop[2], nxt[2], _dot(loop, nxt)).sum())
+    return 2.0 * np.arctan2(abc, 1.0 + loop[2] + nxt[2] + _dot(loop, nxt))
 
 
 def _raw_or_error(estimator, params, k_max, n_grid, block):
@@ -477,8 +571,12 @@ class TestBlockSeams:
                 assert raw == plaq, block
             else:
                 assert abs(raw - plaq) <= 1e-13, (block, raw, plaq)
+        # the four sides are quarter turns of each other, equal bit for bit, and the cap
+        # closure is four times the first
         x, _ = chirality._mesh(k_max, n_grid)
-        assert chirality._cap_closure(params, x) == whole_mesh_cap_closure(params, x)
+        sides = whole_mesh_cap_angles(params, x).reshape(4, n_grid - 1)
+        assert all(np.array_equal(side, sides[0]) for side in sides[1:])
+        assert chirality._cap_closure(params, x) == 4.0 * float(sides[0].sum())
 
     @pytest.mark.parametrize("n_grid", [32, 33, 64])
     @pytest.mark.parametrize("rows", [1, 2, 5])

@@ -97,11 +97,21 @@ class TestChern:
         assert err.startswith("error: ") and str(chirality.MAX_GRID) in err
 
     def test_method_disagreement_exit_code(self, tmp_path, capsys):
-        # the quadrature misses the narrow gap at n_grid = 128 while the plaquette sum does not
+        # the quadrature misses the narrow gap, which the plaquette sum resolves: its
+        # resolution guard fails every level instead of letting the methods disagree
         config = write(tmp_path / "c.cfg", "gap = 0.001\nmu = 100\nchi = 1\nk_max = 80\n")
         assert main(["chern", "--config", config]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "plaquette reports" in err
+        assert err.startswith("error: ") and "unresolved at n_grid=1024" in err
+
+    def test_quadrature_silent_zero_exit_code(self, tmp_path, capsys):
+        # the residual alone would report N = 0 (raw 3e-7) for chi = +1, mu > 0
+        config = write(tmp_path / "c.cfg", "gap = 0.001\nmu = 100\nchi = 1\nk_max = 80\n"
+                       "method = quadrature\nn_grid = 128\n")
+        assert main(["chern", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unresolved at n_grid=128" in err
 
 
 class TestBeatDampRabi:
@@ -365,6 +375,16 @@ class TestOutputContract:
         assert main(["beat", "--config", config]) == 0
         assert target.exists()
         assert target.read_text().startswith("t,p_diff")
+
+    def test_out_error_names_the_given_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.csv"
+        assert main(["chern", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        # a directory as the target: the rename fails, and no temporary file is left
+        assert main(["beat", "--out", str(tmp_path)]) == 1
+        assert repr(str(tmp_path)) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_row_writer_matches_per_value_repr(self):
         columns = (
