@@ -24,7 +24,12 @@ of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
 omega 2), dynamics.evolve_closed composed n times over one step of dt 0.005
 (from |+1>; the exact propagator has no step loop, so the row gives its cost
 per call) and dynamics.evolve_damped over n steps of dt 0.005 (from |+1>) at
-the point of configs/damp.cfg (delta 0.5, gamma 0.05).  At every shot count
+the point of configs/damp.cfg (delta 0.5, gamma 0.05).  At the same step
+counts it times the trajectory CSV writer, cli._rows written through
+cli._emit to a sink that drops the text, on the n + 1 rows of a beat table
+(t, p_diff, pop_plus, pop_minus of the closed qubit at delta 0.5, dt 0.005)
+and of a damp table (the same plus purity, from the damped run above); the
+columns are built outside the timed call.  At every shot count
 n it times gatescript.run_script over n shots of the 12-qubit script that
 puts every qubit through H and then measures them all (seed 1), the widest
 outcome tree the register allows, and cli.run_chain on the same script, read
@@ -49,6 +54,8 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -78,7 +85,7 @@ from chiralqubit.chirality import (  # noqa: E402
     chern_quadrature,
     cross_validate,
 )
-from chiralqubit.cli import _load_config, run_chain  # noqa: E402
+from chiralqubit.cli import _emit, _load_config, _rows, run_chain  # noqa: E402
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
     DensityMatrix,
@@ -167,15 +174,37 @@ def _closed_steps(n: int) -> QubitState:
     return state
 
 
+class _Sink(io.TextIOBase):
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _populations(p_plus, p_minus) -> tuple:
+    return p_plus - p_minus, p_plus, p_minus
+
+
+def _write_table(header: str, columns) -> None:
+    """The CSV rows as the beat and damp subcommands write them, to a sink that drops them."""
+    with contextlib.redirect_stdout(_Sink()):
+        _emit(_rows(header, *columns), None)
+
+
 def step_kernels(n: int) -> dict:
-    """Zero-argument calls of the qubit propagation kernels over n steps."""
+    """Zero-argument calls of the qubit propagation kernels and the CSV writer over n steps."""
     rho = DensityMatrix.from_state(QubitState.plus())
+    times, amps = drive_evolve(QubitState.plus(), CLOSED, n * DRIVE_DT, DRIVE_DT)
+    beat = (times, *_populations(np.abs(amps[:, 1]) ** 2, np.abs(amps[:, 0]) ** 2))
+    times, rhos = evolve_damped(rho, DAMPED, n * DRIVE_DT, DRIVE_DT)
+    damp = (times, *_populations(rhos[:, 1, 1].real, rhos[:, 0, 0].real),
+            np.einsum("tij,tji->t", rhos, rhos).real)
     return {
         "dynamics.drive_evolve":
             lambda: drive_evolve(QubitState.minus(), DRIVE, n * DRIVE_DT, DRIVE_DT),
         "dynamics.drive_propagator": lambda: drive_propagator(DRIVE, n * DRIVE_DT, DRIVE_DT),
         "dynamics.evolve_closed": lambda: _closed_steps(n),
         "dynamics.evolve_damped": lambda: evolve_damped(rho, DAMPED, n * DRIVE_DT, DRIVE_DT),
+        "cli._rows.beat": lambda: _write_table("t,p_diff,pop_plus,pop_minus", beat),
+        "cli._rows.damp": lambda: _write_table("t,p_diff,pop_plus,pop_minus,purity", damp),
     }
 
 

@@ -5,10 +5,11 @@ Subcommands: chern, beat, damp, rabi, chain, device.  Each takes
 ``--out <path>`` for the output file (stdout otherwise, written atomically
 when a path is given), and ``--seed <u64>`` which overrides the config seed
 where randomness is involved.  Unknown or malformed config keys are hard
-errors.  Fixed exit codes:
+errors, and so are usage errors (an unknown option or subcommand, a
+non-integer --seed).  Fixed exit codes:
 
     0  success                         4  StepTooLarge
-    1  config error                    5  gate-script parse error
+    1  config or usage error           5  gate-script parse error
     2  gapless texture                 6  operation across an off link
     3  invariant did not converge, or the two estimators disagree
 
@@ -18,6 +19,11 @@ script error (exit 5) from inside a chain script.  A chain may take at most
 gatescript.MAX_SHOTS = 10**6 shots and a chern grid at most
 chirality.MAX_GRID = 1024 points per side; more is a config error (exit 1).
 A CSV column that would hold NaN or inf is a config error (exit 1) too.
+
+Every float in the output is written as Python's repr writes it: the
+shortest string that reads back to the same double.  beat, damp and rabi
+write their CSV rows through _floatcsv.csv_block, which gives those bytes
+for a whole block at once; tests pin them against repr.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import chirality, device, dynamics, gatescript
+from ._floatcsv import csv_block
 from .chirality import GaplessTexture, MethodDisagreement, NotConverged
 from .device import MaterialParams
 from .dynamics import DensityMatrix, QubitState, StepTooLarge, TwoLevelParams
@@ -42,7 +49,7 @@ from .gatescript import ScriptError
 from .kspace import GapParams
 from .register import LinkOff
 
-EMIT_LINES = 4096  # output lines joined per write
+EMIT_LINES = 4096  # output lines per written piece
 
 
 class ConfigError(ValueError):
@@ -139,31 +146,35 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _rows(header: str, *columns) -> list[str]:
-    """CSV lines: the header, then one row per index across the columns, as _fmt writes them."""
+def _rows(header: str, *columns) -> Iterator[str]:
+    """The CSV text: the header line, then EMIT_LINES rows across the columns per piece, each
+    value as _fmt writes it (_floatcsv.csv_block)."""
     values = [np.asarray(column, dtype=float) for column in columns]
     if not all(np.isfinite(column).all() for column in values):
         raise ValueError(f"non-finite values in the {header} columns: inputs out of range")
-    return [header] + [",".join(map(repr, row)) for row in zip(*(v.tolist() for v in values))]
+    blocks = (csv_block(np.column_stack([column[start:start + EMIT_LINES] for column in values]))
+              for start in range(0, len(values[0]), EMIT_LINES))
+    return itertools.chain([header + "\n"], blocks)
 
 
-def _write_lines(handle, lines: Iterable[str]) -> None:
-    """Each line and a newline, EMIT_LINES lines per write: no copy of the whole output is held."""
+def _text(lines: Iterable[str]) -> Iterator[str]:
+    """Each line and a newline, EMIT_LINES lines per piece: no copy of the whole output is held."""
     lines = iter(lines)
     while chunk := list(itertools.islice(lines, EMIT_LINES)):
-        handle.write("\n".join(chunk) + "\n")
+        yield "\n".join(chunk) + "\n"
 
 
-def _emit(lines: Iterable[str], out_path: str | None) -> None:
+def _emit(text: Iterable[str], out_path: str | None) -> None:
+    """Write the pieces of text to stdout, or atomically to out_path."""
     if out_path is None:
-        _write_lines(sys.stdout, lines)
+        sys.stdout.writelines(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            _write_lines(handle, lines)
+            handle.writelines(text)
         os.replace(tmp, out_path)
         tmp = None
     except OSError as exc:  # name the file asked for, not the temporary one
@@ -187,7 +198,7 @@ def _chern_row(result: chirality.ChernResult) -> str:
     ])
 
 
-def run_chern(config: dict) -> list[str]:
+def run_chern(config: dict) -> Iterator[str]:
     params = GapParams(config["gap"], config["mu"], config["chi"])
     method = config["method"]
     if method not in ("both", "quadrature", "plaquette"):
@@ -203,14 +214,14 @@ def run_chern(config: dict) -> list[str]:
         k_max = config["k_max"] if config["k_max"] is not None else chirality.default_k_max(params)
         fn = chirality.chern_quadrature if method == "quadrature" else chirality.chern_plaquette
         lines.append(_chern_row(fn(params, k_max, n_grid)))
-    return lines
+    return _text(lines)
 
 
-def run_beat(config: dict) -> list[str]:
+def run_beat(config: dict) -> Iterator[str]:
     return run_rabi({**config, "amp": 0.0, "omega": 0.0})
 
 
-def run_damp(config: dict) -> list[str]:
+def run_damp(config: dict) -> Iterator[str]:
     params = TwoLevelParams(
         e0=config["e0"], delta=config["delta"], epsilon=config["epsilon"],
         gamma=config["gamma"],
@@ -224,7 +235,7 @@ def run_damp(config: dict) -> list[str]:
     return _rows("t,p_diff,pop_plus,pop_minus,purity", *columns)
 
 
-def run_rabi(config: dict) -> list[str]:
+def run_rabi(config: dict) -> Iterator[str]:
     params = TwoLevelParams(
         e0=config["e0"], delta=config["delta"], epsilon=config["epsilon"],
         drive_amp=config["amp"], drive_freq=config["omega"],
@@ -251,7 +262,7 @@ def _shot_lines(tokens: list[str], shot_history: np.ndarray) -> Iterator[str]:
 
 
 def run_chain(config: dict) -> Iterator[str]:
-    """The chain's output lines; the shot lines are formatted as they are written."""
+    """The chain's output text; the shot lines are formatted as they are written."""
     if config["script_path"] is None:
         raise ConfigError("chain needs a script_path key in the config")
     text = _read_text(config["script_path"], "script")
@@ -278,10 +289,10 @@ def run_chain(config: dict) -> Iterator[str]:
              for token, freq in zip(tokens, run.outcome_frequencies().values())]
     tail.append("final probabilities:")
     tail += _probability_lines(run.final_state.probabilities(), run.final_state.n)
-    return itertools.chain(lines, _shot_lines(tokens, run.shot_history), tail)
+    return _text(itertools.chain(lines, _shot_lines(tokens, run.shot_history), tail))
 
 
-def run_device(config: dict) -> list[str]:
+def run_device(config: dict) -> Iterator[str]:
     params = MaterialParams(**{field.name: config[field.name]
                                for field in dataclasses.fields(MaterialParams)})
     report = device.sizing_report(params, config["h_gauss"])
@@ -301,7 +312,7 @@ def run_device(config: dict) -> list[str]:
             "true" if geo.within_lambda else "false",
         ]),
     ]
-    return lines
+    return _text(lines)
 
 
 _RUNNERS = {
@@ -314,9 +325,14 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's exit 2
+        raise ConfigError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chiralqubit",
         description="chiral p-wave qubit simulator: invariants, beating, chains, sizing",
     )
@@ -330,13 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args.subcommand, args.config)
         if args.seed is not None and "seed" in _SCHEMAS[args.subcommand]:
             config["seed"] = args.seed
-        lines = _RUNNERS[args.subcommand](config)
-        _emit(lines, args.out if args.out is not None else config.get("output_path"))
+        text = _RUNNERS[args.subcommand](config)
+        _emit(text, args.out if args.out is not None else config.get("output_path"))
     except _MAPPED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

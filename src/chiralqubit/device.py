@@ -26,10 +26,6 @@ def gauss_to_tesla(h_gauss: float) -> float:
     return h_gauss / GAUSS_PER_TESLA
 
 
-def tesla_to_gauss(h_tesla: float) -> float:
-    return h_tesla * GAUSS_PER_TESLA
-
-
 @dataclass(frozen=True)
 class MaterialParams:
     """Material constants; defaults describe a layered ruthenate film."""

@@ -137,11 +137,6 @@ class DensityMatrix:
         return float(np.trace(self.rho @ self.rho).real)
 
 
-def hamiltonian(params: TwoLevelParams) -> np.ndarray:
-    """Static part e0*I - delta*sigma_x + epsilon*sigma_z."""
-    return params.e0 * IDENTITY - params.delta * SIGMA_X + params.epsilon * SIGMA_Z
-
-
 def _propagator(e0, x, z, t) -> np.ndarray:
     """exp(-i t (e0*I + x*sigma_x + z*sigma_z)), exact; broadcasts to shape (..., 2, 2)."""
     e0, x, z, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (e0, x, z, t)))

@@ -57,7 +57,7 @@ class GapParams:
         return self.mu < 0.0 or (self.delta > 0.0 and self.mu > 0.0)
 
     def _inplane_prefactor(self) -> float:
-        return self.delta / math.sqrt(self.mu) if self.mu > 0.0 else self.delta
+        return self.delta / self.k_fermi if self.mu > 0.0 else self.delta
 
 
 def d_z(k, params: GapParams) -> complex:

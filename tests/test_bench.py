@@ -23,7 +23,7 @@ REGISTER_KERNELS = [
     "register.selective_rf_pulse",
 ]
 STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
-                "dynamics.evolve_damped"]
+                "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
 
 

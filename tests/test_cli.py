@@ -392,8 +392,9 @@ class TestOutputContract:
             np.array([0, -7, 2**53 + 1, 5, 12]),
             [1e-300, -0.0, 2.0, 1e16, -1e308],
         )
-        expected = ["h"] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
-        assert cli._rows("h", *columns) == expected
+        expected = "h\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
+                                    for row in zip(*columns))
+        assert "".join(cli._rows("h", *columns)) == expected
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_row_writer_rejects_non_finite(self, value):
@@ -432,23 +433,24 @@ class TestChunkedEmit:
 
     def test_file_bytes_identical_and_peak_bounded(self, tmp_path):
         out = tmp_path / "shots.txt"
-        peak = self.peak_bytes(lambda: cli._emit(self.LINES, str(out)))
+        peak = self.peak_bytes(lambda: cli._emit(cli._text(self.LINES), str(out)))
         assert out.read_bytes() == self.PAYLOAD
         assert [p.name for p in tmp_path.iterdir()] == ["shots.txt"]
         # the joined payload alone was 7.3 MB; one chunk is about 150 kB
         assert peak < 1e6, peak
 
     def test_stdout_bytes_identical_and_peak_bounded(self, monkeypatch):
-        class Digest:
+        class Digest(io.TextIOBase):
             def __init__(self):
                 self.sha = hashlib.sha256()
 
             def write(self, text):
                 self.sha.update(text.encode())
+                return len(text)
 
         sink = Digest()
         monkeypatch.setattr(sys, "stdout", sink)
-        peak = self.peak_bytes(lambda: cli._emit(self.LINES, None))
+        peak = self.peak_bytes(lambda: cli._emit(cli._text(self.LINES), None))
         monkeypatch.undo()
         assert sink.sha.hexdigest() == hashlib.sha256(self.PAYLOAD).hexdigest()
         assert peak < 1e6, peak
@@ -478,7 +480,7 @@ class TestChunkedEmit:
         # a lone surrogate cannot be encoded: the write fails in the second chunk
         lines = self.LINES[:cli.EMIT_LINES] + ["\ud800"] + self.LINES[cli.EMIT_LINES:]
         with pytest.raises(UnicodeEncodeError):
-            cli._emit(lines, str(out))
+            cli._emit(cli._text(lines), str(out))
         assert out.read_text(encoding="utf-8") == "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["shots.txt"]
 
@@ -530,6 +532,88 @@ class TestChainFuzz:
         assert abs(sum(map(float, freqs.values())) - 1.0) <= 1e-12
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["chern", "--bogus"], ["chern", "--seed", "abc"], [],
+                                      ["bogus"], ["beat", "--out"]])
+    def test_usage_error_is_config_error(self, capsys, argv):
+        # exit 2 means a gapless texture; a usage error exits 1 with one error line
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["chern", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def _number(low: float, high: float, *junk: str):
+    """Config tokens: mostly a float in [low, high] written by repr, else a junk token."""
+    number = st.floats(low, high).map(repr)
+    return st.one_of(number, number, number, st.sampled_from(junk))
+
+
+def _integer(low: int, high: int, *junk: str):
+    integer = st.integers(low, high).map(str)
+    return st.one_of(integer, integer, integer, st.sampled_from(junk))
+
+
+_PHYSICS = _number(-10.0, 10.0, "0", "nan", "inf", "-1e400", "1e-300", "", "0x10", "3,5", "2.0.1")
+# every size stays under its cap: t_max / dt <= 1e4 rows (a junk dt such as 1e-300 asks for
+# more than MAX_STEPS and is refused before anything is allocated), n_grid <= 128, shots <= 100
+_VALUES = {
+    "t_max": _number(-1.0, 10.0, "1e400", "-0.0", "nan"),
+    "dt": _number(1e-3, 1.0, "0", "-0.01", "1e-300", "nan", "x"),
+    "n_grid": _integer(-4, 128, "1.5", "x", "1e3"),
+    "k_max": _number(-1.0, 50.0, "0", "nan", "x"),
+    "chi": st.sampled_from(["1", "-1", "0", "2", "x", "+1"]),
+    "method": st.sampled_from(["both", "quadrature", "plaquette", "bogus"]),
+    "shots": _integer(-2, 100, "1e2", "x"),
+    "seed": _integer(-1, 2**64, "x", "0x1"),
+    "script_path": st.sampled_from(["{script}", "{script}", "{missing}"]),
+}
+_JUNK_LINE = st.sampled_from(["bogus_key = 1", "just words", "= 1", "# comment", "", "mu = 1"])
+
+
+def _config_lines(subcommand: str):
+    """Distinct keys of the subcommand with fuzzed values, then at most one junk line; a chain
+    config always names a script (test_missing_script_is_config_error covers none)."""
+    pair = st.sampled_from(sorted(cli._SCHEMAS[subcommand])).flatmap(
+        lambda key: st.tuples(st.just(key), _VALUES.get(key, _PHYSICS)))
+    first = {"script_path": _VALUES["script_path"]} if subcommand == "chain" else {}
+    return st.tuples(st.fixed_dictionaries(first),
+                     st.lists(pair.filter(lambda kv: kv[0] not in first), max_size=8,
+                              unique_by=lambda kv: kv[0]),
+                     st.lists(_JUNK_LINE, max_size=1)).map(
+        lambda parts: [f"{key} = {token}" for key, token in [*parts[0].items(), *parts[1]]]
+        + parts[2])
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("subcommand", sorted(cli._SCHEMAS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_config_exits_cleanly(self, subcommand, data):
+        lines = data.draw(_config_lines(subcommand))
+        with tempfile.TemporaryDirectory() as tmp:
+            script = write(Path(tmp, "swap.gates"), SWAP_SCRIPT + "LINK 0 1 OFF\nRF 0 0.1 1.0\n")
+            text = "\n".join(lines).format(script=script, missing=Path(tmp, "absent.gates"))
+            config = write(Path(tmp, "c.cfg"), text + "\n")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([subcommand, "--config", config])
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in range(7) and "Traceback" not in err
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and out
+
+
 class TestParserReuse:
     # the parser is built once per process; a reused parser must answer like a fresh one
     CALLS = (
@@ -560,7 +644,8 @@ class TestParserReuse:
         reused = [self.call(capsys, argv) for argv in self.CALLS]
         assert cli._build_parser.cache_info().hits == len(self.CALLS) - 1
         assert reused == fresh
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 2, 0]
+        # usage errors exit 1 with one error line, like config errors
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 1, 0]
 
 
 class TestDeterminism:

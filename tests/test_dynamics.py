@@ -26,7 +26,6 @@ from chiralqubit.dynamics import (
     eigensystem,
     evolve_closed,
     evolve_damped,
-    hamiltonian,
 )
 
 try:
@@ -35,6 +34,11 @@ except ImportError:  # scipy is a test extra
     expm = None
 
 needs_scipy = pytest.mark.skipif(expm is None, reason="needs scipy for the expm reference")
+
+
+def hamiltonian(params: TwoLevelParams) -> np.ndarray:
+    """Static part e0*I - delta*sigma_x + epsilon*sigma_z, the dense reference matrix."""
+    return params.e0 * np.eye(2) - params.delta * SIGMA_X + params.epsilon * SIGMA_Z
 
 
 def p_diff(rhos):
