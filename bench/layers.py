@@ -5,14 +5,15 @@
 
 It imports the package from the src/ directory next to it.  At every grid
 size n it times kspace.texture_field on the first octant block of the
-quadrature (max(1, chirality.BLOCK // m) rows of the quadrant's m = n // 2
+quadrature (chirality._block_rows(m, m) rows of the quadrant's m = n // 2
 nodes per side, the widest block the estimators request), the three level
 kernels chirality._cap_closure, chirality._quadrature_sum and
 chirality._plaquette_sum on a mesh and mesh lines built outside the timed
 call, chirality.chern_quadrature, chirality.chern_plaquette (which also
 check their inputs and build the mesh and lines), and
-chirality.cross_validate held to that one grid (n_grid_start = n_grid_max =
-n), all at the point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
+chirality.cross_validate from n_grid_start = n, escalating as the CLI does
+(at 32^2 it goes on to 64^2), all at the point of configs/chern.cfg (delta 1,
+mu 1, chi +1, k_max 8).
 At every register size n it times, on one fixed random n-qubit state and
 around the middle qubit q = n // 2: register.apply_single_gate (H on q),
 register.exchange_pulse (half pulse on the link q-1, q),
@@ -73,9 +74,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from chiralqubit.chirality import (  # noqa: E402
-    BLOCK,
     MAX_GRID,
     NotConverged,
+    _block_rows,
     _cap_closure,
     _lines,
     _mesh,
@@ -85,7 +86,7 @@ from chiralqubit.chirality import (  # noqa: E402
     chern_quadrature,
     cross_validate,
 )
-from chiralqubit.cli import _emit, _load_config, _rows, run_chain  # noqa: E402
+from chiralqubit.cli import _coerce, _emit, _rows, run_chain  # noqa: E402
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
     DensityMatrix,
@@ -129,8 +130,7 @@ ALL_H = parse_script(ALL_H_TEXT)
 def _block_texture(n: int):
     """The texture of the first octant block of the quadrature, the widest block it requests."""
     xq = _mesh(K_MAX, n)[0][n // 2:]
-    rows = min(len(xq), max(1, BLOCK // len(xq)))
-    return texture_field(xq[:rows, None], xq[None, :], PARAMS)
+    return texture_field(xq[:_block_rows(len(xq), len(xq)), None], xq[None, :], PARAMS)
 
 
 def grid_kernels(n: int) -> dict:
@@ -144,7 +144,7 @@ def grid_kernels(n: int) -> dict:
         "chirality._plaquette_sum": lambda: _plaquette_sum(PARAMS, x, lines),
         "chirality.chern_quadrature": lambda: chern_quadrature(PARAMS, K_MAX, n),
         "chirality.chern_plaquette": lambda: chern_plaquette(PARAMS, K_MAX, n),
-        "chirality.cross_validate": lambda: cross_validate(PARAMS, K_MAX, n, n),
+        "chirality.cross_validate": lambda: cross_validate(PARAMS, K_MAX, n),
     }
 
 
@@ -219,7 +219,7 @@ def import_time(repeats: int) -> float:
 
 def shot_kernels(n: int, script_path: str) -> dict:
     """Zero-argument calls of the shot engine and the chain subcommand over n shots."""
-    config = {**_load_config("chain", None), "script_path": script_path, "seed": 1, "shots": n}
+    config = {**_coerce("chain", {}), "script_path": script_path, "seed": 1, "shots": n}
     return {
         "gatescript.run_script": lambda: run_script(ALL_H, seed=1, shots=n),
         "cli.run_chain": lambda: collections.deque(run_chain(config), maxlen=0),
@@ -295,33 +295,24 @@ def main(argv=None) -> int:
         parser.error(f"every --shots value must be in [1, {MAX_SHOTS}]")
 
     layers = []
-    for n in args.sizes:
-        for name, call in grid_kernels(n).items():
-            best, outcome = time_kernel(call, args.repeats)
-            peak = peak_mb(call)
-            layers.append({"kernel": name, "n_grid": n, "best_s": best, "peak_mb": peak,
-                           "outcome": outcome})
-            print(f"{name:28s} {n:5d}^2     {best * 1e3:9.3f} ms  {peak:7.2f} MB  {outcome}")
-    for n in args.qubits:
-        for name, call in register_kernels(n).items():
-            best, outcome = time_kernel(call, args.repeats)
-            layers.append({"kernel": name, "n_qubits": n, "best_s": best, "outcome": outcome})
-            print(f"{name:28s} {n:5d} qubits {best * 1e3:9.3f} ms  {outcome}")
-    for n in args.steps:
-        for name, call in step_kernels(n).items():
-            best, outcome = time_kernel(call, args.repeats)
-            layers.append({"kernel": name, "n_steps": n, "best_s": best, "outcome": outcome})
-            print(f"{name:28s} {n:7d} steps {best * 1e3:8.3f} ms  {outcome}")
     with tempfile.TemporaryDirectory() as tmp:
         script_path = Path(tmp, "all_h.gates")
         script_path.write_text(ALL_H_TEXT, encoding="utf-8")
-        for n in args.shots:
-            for name, call in shot_kernels(n, str(script_path)).items():
-                best, outcome = time_kernel(call, args.repeats)
-                peak = peak_mb(call)
-                layers.append({"kernel": name, "n_shots": n, "best_s": best, "peak_mb": peak,
-                               "outcome": outcome})
-                print(f"{name:28s} {n:7d} shots {best * 1e3:8.3f} ms  {peak:7.2f} MB  {outcome}")
+        # (size key, sizes, kernels at one size, whether the row records peak_mb)
+        tables = (("n_grid", args.sizes, grid_kernels, True),
+                  ("n_qubits", args.qubits, register_kernels, False),
+                  ("n_steps", args.steps, step_kernels, False),
+                  ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True))
+        for key, sizes, kernels, traced in tables:
+            for n in sizes:
+                for name, call in kernels(n).items():
+                    best, outcome = time_kernel(call, args.repeats)
+                    row = {"kernel": name, key: n, "best_s": best}
+                    if traced:
+                        row["peak_mb"] = peak_mb(call)
+                    layers.append({**row, "outcome": outcome})
+                    peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
+                    print(f"{name:28s} {key} {n:7d} {best * 1e3:9.3f} ms{peak}  {outcome}")
     best = import_time(args.repeats)
     layers.append({"kernel": "import chiralqubit", "best_s": best, "outcome": "ok"})
     print(f"{'import chiralqubit':28s}       {best * 1e3:12.3f} ms")

@@ -212,9 +212,8 @@ def _cap_closure(params: GapParams, x: np.ndarray) -> float:
 def _lines(params: GapParams, x: np.ndarray) -> np.ndarray:
     """m_x, m_y, m_z along k_x and m_z along k_y: the mesh lines through (x[n // 2], x[n // 2])."""
     xl = x[len(x) // 2 - 1:]  # from one node before; the lines through -x[n // 2] are the same
-    mx, _, mz_x = texture_field(xl, xl[1], params)
-    _, my, mz_y = texture_field(xl[1], xl, params)
-    return np.array((mx, my, mz_x, mz_y))
+    mx, _, mz = texture_field(xl, xl[1], params)
+    return np.array((mx, params.chi * mx, mz, mz))  # the k_y line is the swap image (Layout)
 
 
 def _derivatives(lines: np.ndarray, h: float) -> np.ndarray:
@@ -250,7 +249,6 @@ def _quadrature_sum(params: GapParams, x: np.ndarray, h: float, lines: np.ndarra
     w2 = 2.0 * w
     # each row's k_y sum runs over the whole quadrant row, zero left of the diagonal,
     # so it is the same sum for every block size (a gemv would not keep that)
-    field = np.empty((_block_rows(len(w), len(w)), len(w)))
     inner = np.empty(len(w))
     for r0, m, s in _blocks(params, x[len(x) // 2:]):  # from the smallest |k|: h/2, or 0
         rows = slice(r0, r0 + len(s))
@@ -260,23 +258,11 @@ def _quadrature_sum(params: GapParams, x: np.ndarray, h: float, lines: np.ndarra
         numerator *= py[r0:]
         numerator -= px[rows, None] * ay[r0:]
         numerator /= s * np.sqrt(s)
-        field[:, max(0, r0 - len(field)):r0] = 0.0  # the previous block's leading square
-        row = field[:len(s)]
+        row = np.zeros((len(s), len(w)))
         np.multiply(numerator, w2[r0:], out=row[:, r0:])
         row[:, r0:rows.stop] *= _octant_factor(len(s))
         inner[rows] = row.sum(axis=1)
     return float(w @ inner)
-
-
-@functools.cache
-def _cell_folds(nodes: int, odd: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mirror fold per axis of the cells a quadrant of `nodes` nodes starts (see Layout), and its
-    double for the swap; the last node starts no cell (its "cells" wrap to the next row)."""
-    fold = np.full(nodes, 2.0)
-    fold[0], fold[-1] = 1.0 + odd, 0.0
-    swap_fold = 2.0 * fold
-    fold.flags.writeable = swap_fold.flags.writeable = False
-    return fold, swap_fold
 
 
 def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float:
@@ -288,7 +274,9 @@ def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float
     near = line[:2] * step[:2]  # m_x m_x' and m_y m_y' of neighbouring nodes
     step -= line  # the edges b - a = c - d = (dm_x, 0, dz_x) and c - b = d - a = (0, dm_y, dz_y)
     tilt = line[:2] * step[2:]  # m_x dz_x and m_y dz_y
-    fold, swap_fold = _cell_folds(len(xq), len(x) % 2)
+    fold = np.full(len(xq), 2.0)  # mirror fold per axis of the cells (see Layout); the last
+    fold[0], fold[-1] = 1.0 + len(x) % 2, 0.0  # node starts no cell (its "cells" wrap)
+    swap_fold = 2.0 * fold  # and its double for the swap
     interior = 0.0
     for r0, m, s in _blocks(params, xq, overlap=1):
         # flat node k of the block (row k // W, column k % W) is corner a of cell k, with
@@ -334,8 +322,7 @@ def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float
         acd += along_y[:last]
         abc += along_x[:last]
         abc += along_y[width:width + last]
-        half_angles = np.empty(cells)  # the solid angle of a triangle is 2 arctan2
-        half_angles[last] = 0.0
+        half_angles = np.zeros(cells)  # the solid angle of a triangle is 2 arctan2
         head = np.arctan2(triple * inv[width:width + last], abc, out=half_angles[:last])
         head += np.arctan2(np.multiply(triple, inv[1:cells], out=abc), acd, out=acd)
         half_angles = half_angles.reshape(-1, width)
@@ -384,24 +371,21 @@ def cross_validate(
     params: GapParams,
     k_max: float | None = None,
     n_grid_start: int = 128,
-    n_grid_max: int = MAX_GRID,
 ) -> CrossValidation:
     """Run both estimators at escalating resolution and require agreement.
 
+    The grid starts at n_grid_start and doubles while it stays within MAX_GRID.
     With k_max = None the texture is first rescaled to its well-conditioned
     equivalent (same invariant) and the cutoff is chosen automatically; an
     explicit k_max evaluates the parameters exactly as given.
     """
     if not params.is_gapped():
         _check_inputs(params, math.inf, n_grid_start)
-    if n_grid_start > n_grid_max:
-        raise ValueError(f"n_grid must be <= {n_grid_max} for cross-validation, got {n_grid_start}")
     work = params if k_max is not None else _conditioned(params)
     cutoff = k_max if k_max is not None else default_k_max(work)
 
     n_grid = n_grid_start
-    last_exc: Exception | None = None
-    while n_grid <= n_grid_max:
+    while True:
         _check_inputs(work, cutoff, n_grid)
         x, h = _mesh(cutoff, n_grid)
         lines, cap = _lines(work, x), _cap_closure(work, x)  # shared by both estimators
@@ -409,8 +393,9 @@ def cross_validate(
             quad = _finish(_quadrature_sum(work, x, h, lines) + cap, n_grid, cutoff, "quadrature",
                            lines)
             plaq = _finish(_plaquette_sum(work, x, lines) + cap, n_grid, cutoff, "plaquette")
-        except (NotConverged, DegeneratePlaquette) as exc:
-            last_exc = exc
+        except (NotConverged, DegeneratePlaquette):
+            if 2 * n_grid > MAX_GRID:
+                raise
             n_grid *= 2
             continue
         if quad.n_integer != plaq.n_integer:
@@ -419,4 +404,3 @@ def cross_validate(
                 f"{plaq.n_integer} at n_grid={n_grid}"
             )
         return CrossValidation(quadrature=quad, plaquette=plaq)
-    raise last_exc

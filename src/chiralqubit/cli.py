@@ -137,11 +137,6 @@ def _coerce(subcommand: str, raw: dict[str, str]) -> dict:
     return config
 
 
-def _load_config(subcommand: str, path: str | None) -> dict:
-    raw = _read_config_file(path) if path is not None else {}
-    return _coerce(subcommand, raw)
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -348,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _load_config(args.subcommand, args.config)
+        config = _coerce(args.subcommand,
+                         _read_config_file(args.config) if args.config is not None else {})
         if args.seed is not None and "seed" in _SCHEMAS[args.subcommand]:
             config["seed"] = args.seed
         text = _RUNNERS[args.subcommand](config)

@@ -130,9 +130,6 @@ class DensityMatrix:
         v = state.vector
         return cls(np.outer(v, v.conj()))
 
-    def population_diff(self) -> float:
-        return float((self.rho[1, 1] - self.rho[0, 0]).real)
-
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
 

@@ -30,7 +30,7 @@ from .dynamics import TwoLevelParams
 MAX_QUBITS = 12
 UNITARITY_TOL = 1e-10
 
-IDENTITY_2 = np.eye(2, dtype=complex)
+IDENTITY_2 = dynamics.IDENTITY
 PAULI_X = dynamics.SIGMA_X
 PAULI_Y = dynamics.SIGMA_Y
 PAULI_Z = dynamics.SIGMA_Z

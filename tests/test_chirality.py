@@ -224,7 +224,7 @@ class TestCrossValidate:
         assert report.n_integer == +1
 
     def test_start_grid_above_cap_rejected(self):
-        with pytest.raises(ValueError, match="1024"):
+        with pytest.raises(ValueError, match=r"n_grid must be in \[32, 1024\], got 2048"):
             cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=2048)
 
 

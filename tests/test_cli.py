@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from chiralqubit import chirality, cli, gatescript
 from chiralqubit.cli import main
+from chiralqubit.kspace import GapParams
 
 SWAP_SCRIPT = """\
 RESET 0 +1
@@ -112,6 +113,28 @@ class TestChern:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unresolved at n_grid=128" in err
+
+    def test_estimators_that_disagree_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a plaquette sum one full sphere off converges to an integer one below the quadrature's
+        level_sum = chirality._plaquette_sum
+        monkeypatch.setattr(chirality, "_plaquette_sum",
+                            lambda *args: level_sum(*args) + 4.0 * math.pi)
+        with pytest.raises(chirality.MethodDisagreement, match="quadrature reports 1 but "
+                           "plaquette reports 0 at n_grid=128"):
+            chirality.cross_validate(GapParams(1.0, 1.0, +1))
+        config = write(tmp_path / "c.cfg", "gap = 1\nmu = 1\nchi = 1\n")
+        assert main(["chern", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "quadrature reports 1 but plaquette reports 0" in err
+
+    def test_unknown_method_is_config_error(self, tmp_path, capsys):
+        config = cli._coerce("chern", {"method": "bogus"})
+        with pytest.raises(cli.ConfigError, match="method must be both, quadrature or plaquette"):
+            cli.run_chern(config)
+        assert main(["chern", "--config", write(tmp_path / "c.cfg", "method = bogus\n")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'bogus'" in err
 
 
 class TestBeatDampRabi:
@@ -240,6 +263,22 @@ class TestChain:
         suggested = err.split("lower dt to ")[1].split()[0]
         config = write(tmp_path / "c.cfg", f"script_path = {script}\ndt = {suggested}\n")
         assert main(["chain", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    def test_negative_qubit_is_script_error(self, tmp_path, capsys):
+        with pytest.raises(gatescript.ScriptError, match="line 1: negative qubit index -1"):
+            gatescript.run_script(gatescript.parse_script("GATE -1 H\n"), seed=1, shots=1)
+        script = write(tmp_path / "neg.gates", "GATE -1 H\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
+        assert main(["chain", "--config", config]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: line 1: negative qubit index -1\n"
+
+    def test_negative_rf_amplitude_is_script_error(self, tmp_path, capsys):
+        script = write(tmp_path / "rf.gates", "RF 0 -0.05 1.0\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
+        assert main(["chain", "--config", config]) == 5
+        err = capsys.readouterr().err
+        assert err == "error: line 1: amp must be finite and >= 0, got -0.05\n"
 
     def test_rf_duration_above_step_cap_is_script_error(self, tmp_path, capsys):
         script = write(tmp_path / "rf.gates", "RF 0 0.05 1e5\n")

@@ -75,6 +75,10 @@ class TestPairBudget:
         with pytest.raises(ValueError):
             max_pair_number(DEFAULTS, 0.0)
 
+    def test_rejects_overflowing_budget(self):
+        with pytest.raises(ValueError, match="pair budget .* overflows"):
+            max_pair_number(DEFAULTS, 5e-324)
+
     @settings(max_examples=100, deadline=None)
     @given(
         eps_lo=st.floats(1e-10, 1e-4),
@@ -101,6 +105,10 @@ class TestGeometry:
         params = MaterialParams(cell_volume_a3=1e6, film_thickness_a=999.0)
         with pytest.raises(GeometryInfeasible):
             max_volume(params, 1)
+
+    def test_rejects_no_pairs(self):
+        with pytest.raises(ValueError, match="n_pairs must be >= 1, got 0"):
+            max_volume(DEFAULTS, 0)
 
     def test_lambda_flag_turns_false(self):
         geo = max_volume(MaterialParams(lambda_l_a=500.0), 1_000_000)

@@ -51,6 +51,12 @@ class TestParams:
             with pytest.raises(ValueError):
                 TwoLevelParams(**{field: -0.1})
 
+    @pytest.mark.parametrize("field", ["e0", "delta", "epsilon", "gamma", "drive_amp",
+                                       "drive_freq"])
+    def test_rejects_non_finite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got nan"):
+            TwoLevelParams(**{field: math.nan})
+
     def test_epsilon_may_be_negative(self):
         assert TwoLevelParams(epsilon=-2.0).epsilon == -2.0
 
@@ -67,6 +73,11 @@ class TestQubitState:
     def test_non_finite_rejected(self, amp):
         with pytest.raises(ValueError, match="not normalized"):
             QubitState(amp, 0.0)
+
+    @pytest.mark.parametrize("vec", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_from_vector_rejects_wrong_shape(self, vec):
+        with pytest.raises(ValueError, match="state vector must have shape"):
+            QubitState.from_vector(vec)
 
     def test_population_diff(self):
         assert QubitState.plus().population_diff() == 1.0
@@ -263,6 +274,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
 
+    @pytest.mark.parametrize("rho", [np.eye(3) / 3.0, np.array([1.0, 0.0]), np.ones((2, 2, 1))])
+    def test_rejects_wrong_shape(self, rho):
+        with pytest.raises(ValueError, match="density matrix must be 2x2"):
+            DensityMatrix(rho)
+
+    def test_rejects_negative_eigenvalue(self):
+        # Hermitian with unit trace, but eigenvalues 1.5 and -0.5
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, entry, value):
@@ -286,6 +307,12 @@ class TestDrivenEvolution:
         for index in (0, len(times) // 2, len(times) - 1):
             expected = evolve_closed(QubitState.plus(), params, times[index])
             assert np.abs(amps[index] - expected.vector).max() < 1e-9
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_rejects_nonpositive_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            drive_propagator(TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 1.0,
+                             dt)
 
     @settings(max_examples=60, deadline=None)
     @given(e0=st.floats(-3.0, 3.0), delta=st.floats(0.0, 3.0), epsilon=st.floats(-3.0, 3.0),

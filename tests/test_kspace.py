@@ -13,6 +13,11 @@ class TestGapParams:
         with pytest.raises(ValueError):
             GapParams(-0.1, 1.0, 1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            GapParams(1.0, mu, 1)
+
     def test_rejects_bad_chi(self):
         with pytest.raises(ValueError):
             GapParams(1.0, 1.0, 2)

@@ -85,6 +85,15 @@ class TestRegisterState:
         with pytest.raises(ValueError):
             RegisterState.all_minus(13)
 
+    def test_amplitude_length_checked(self):
+        with pytest.raises(ValueError, match="amplitude vector must have length 4"):
+            RegisterState(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bias", [math.nan, math.inf])
+    def test_non_finite_bias_rejected(self, bias):
+        with pytest.raises(ValueError, match="bias values must be finite"):
+            FieldProfile((1.0, bias))
+
     def test_probability_plus(self):
         state = RegisterState(1, np.array([0.6, 0.8]))
         assert state.probability_plus(0) == pytest.approx(0.64)
@@ -112,6 +121,10 @@ class TestSingleGates:
     def test_rejects_bad_index(self):
         with pytest.raises(IndexOutOfRange):
             apply_single_gate(RegisterState.all_minus(2), 2, PAULI_X)
+
+    def test_rejects_non_2x2(self):
+        with pytest.raises(NotUnitary, match=r"gate must be 2x2, got shape \(3, 3\)"):
+            apply_single_gate(RegisterState.all_minus(2), 0, np.eye(3))
 
     def test_pauli_algebra(self):
         assert np.abs(PAULI_X @ PAULI_Y - 1j * PAULI_Z).max() == 0.0
@@ -217,6 +230,10 @@ class TestComposedCnot:
     def test_link_off_blocks(self):
         with pytest.raises(LinkOff):
             cnot_composed(RegisterState.all_minus(2), 0, 1, CouplingLink(0, 1, on=False))
+
+    def test_link_must_join_control_and_target(self):
+        with pytest.raises(ValueError, match=r"link \(0, 1\) does not join 1 and 2"):
+            cnot_composed(RegisterState.all_minus(3), 1, 2, LINK01)
 
 
 class TestLocality:
@@ -411,6 +428,12 @@ class TestSelectiveRf:
         with pytest.raises(ValueError):
             selective_rf_pulse(RegisterState.all_minus(2), FieldProfile((1.0,)), 0, 0.0, 1.0, 0.01)
 
+    @pytest.mark.parametrize("amp", [-0.05, math.nan, math.inf])
+    def test_amplitude_checked(self, amp):
+        with pytest.raises(ValueError, match="amp must be finite and >= 0"):
+            selective_rf_pulse(RegisterState.all_minus(2), FieldProfile((1.0, 2.0)), 0, amp, 1.0,
+                               0.01)
+
     def test_step_too_large_propagates(self):
         with pytest.raises(StepTooLarge):
             selective_rf_pulse(
@@ -419,6 +442,10 @@ class TestSelectiveRf:
 
 
 class TestReset:
+    def test_rejects_chirality_zero(self):
+        with pytest.raises(ValueError, match=r"chirality value must be \+1 or -1, got 0"):
+            initialize_reset(RegisterState.all_minus(1), 0, 0)
+
     def test_flips_opposite_basis_state(self):
         out = initialize_reset(RegisterState.product([+1, +1]), 0, -1)
         assert out.probabilities()[1] == 1.0  # |-1,+1>
