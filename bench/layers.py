@@ -8,8 +8,8 @@ size n it times kspace.texture_field on the first octant block of the
 quadrature (chirality._block_rows(m, m) rows of the quadrant's m = n // 2
 nodes per side, the widest block the estimators request), the three level
 kernels chirality._cap_closure, chirality._quadrature_sum and
-chirality._plaquette_sum on a mesh and mesh lines built outside the timed
-call, chirality.chern_quadrature, chirality.chern_plaquette (which also
+chirality._plaquette_sum on a mesh (and, for the plaquette, mesh lines) built
+outside the timed call, chirality.chern_quadrature, chirality.chern_plaquette (which also
 check their inputs and build the mesh and lines), and
 chirality.cross_validate from n_grid_start = n, escalating as the CLI does
 (at 32^2 it goes on to 64^2), all at the point of configs/chern.cfg (delta 1,
@@ -35,10 +35,7 @@ n it times gatescript.run_script over n shots of the 12-qubit script that
 puts every qubit through H and then measures them all (seed 1), the widest
 outcome tree the register allows, and cli.run_chain on the same script, read
 from a temporary file, with the chain defaults: the shot engine plus the
-chain's output lines.  Last, it times `import chiralqubit` in a fresh
-interpreter (measured inside the child, so interpreter start-up is left out,
-after one untimed import that compiles the bytecode): the best of --repeats
-imports.
+chain's output lines.
 Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
@@ -61,7 +58,6 @@ import json
 import math
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -119,8 +115,6 @@ K_MAX = 8.0
 RF_AMP, RF_DT, FIELD_STEP = 0.05, 0.01, 0.5
 DRIVE, DRIVE_DT = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0), 0.005
 CLOSED, DAMPED = TwoLevelParams(delta=0.5), TwoLevelParams(delta=0.5, gamma=0.05)
-IMPORT_CODE = ("from time import perf_counter; start = perf_counter(); import chiralqubit; "
-               "print(perf_counter() - start)")
 MIN_BATCH_S = 2e-3
 ALL_H_TEXT = ("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
               + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
@@ -140,7 +134,7 @@ def grid_kernels(n: int) -> dict:
     return {
         "kspace.texture_field": lambda: _block_texture(n),
         "chirality._cap_closure": lambda: _cap_closure(PARAMS, x),
-        "chirality._quadrature_sum": lambda: _quadrature_sum(PARAMS, x, h, lines),
+        "chirality._quadrature_sum": lambda: _quadrature_sum(PARAMS, x, h),
         "chirality._plaquette_sum": lambda: _plaquette_sum(PARAMS, x, lines),
         "chirality.chern_quadrature": lambda: chern_quadrature(PARAMS, K_MAX, n),
         "chirality.chern_plaquette": lambda: chern_plaquette(PARAMS, K_MAX, n),
@@ -206,15 +200,6 @@ def step_kernels(n: int) -> dict:
         "cli._rows.beat": lambda: _write_table("t,p_diff,pop_plus,pop_minus", beat),
         "cli._rows.damp": lambda: _write_table("t,p_diff,pop_plus,pop_minus,purity", damp),
     }
-
-
-def import_time(repeats: int) -> float:
-    """Best time of `import chiralqubit` in a fresh interpreter, after one untimed import."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    times = [float(subprocess.run([sys.executable, "-c", IMPORT_CODE], env=env, check=True,
-                                  capture_output=True, text=True).stdout)
-             for _ in range(repeats + 1)]
-    return min(times[1:])
 
 
 def shot_kernels(n: int, script_path: str) -> dict:
@@ -313,9 +298,6 @@ def main(argv=None) -> int:
                     layers.append({**row, "outcome": outcome})
                     peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
                     print(f"{name:28s} {key} {n:7d} {best * 1e3:9.3f} ms{peak}  {outcome}")
-    best = import_time(args.repeats)
-    layers.append({"kernel": "import chiralqubit", "best_s": best, "outcome": "ok"})
-    print(f"{'import chiralqubit':28s}       {best * 1e3:12.3f} ms")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

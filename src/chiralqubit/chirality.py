@@ -9,13 +9,12 @@ with the plane orientation fixed so that chi = +1 with mu > 0 gives N = +1.
 
 Two estimators are provided and must agree:
 
-* chern_quadrature: finite-difference derivatives of the unnormalized texture
-  summed with the trapezoid rule.  The texture is separable (m_x varies with
-  k_x only, m_y with k_y only, m_z = k_x^2 + k_y^2 - mu), so the derivatives
-  are 1-D central differences along single mesh lines, and the integrand is
-  m . (dm/dk_x x dm/dk_y) / |m|^3, which equals the m_hat form exactly: the
-  parts of d m_hat along m_hat drop out of the triple product (differencing
-  the normalized vectors loses two to three digits).
+* chern_quadrature: the trapezoid rule on the integrand in closed form.  The
+  unnormalized texture m = (p k_x, chi p k_y, k^2 - mu) has d_x m = (p, 0, 2 k_x)
+  and d_y m = (0, chi p, 2 k_y), so m . (d_x m x d_y m) = -chi p^2 (k^2 + mu),
+  the winding of the weak-pairing phase (Read and Green, Phys. Rev. B 61,
+  10267 (2000)).  The integrand m . (d_x m x d_y m) / |m|^3 equals the m_hat
+  form exactly: the parts of d m_hat along m_hat drop out of the triple product.
 * chern_plaquette: the discrete degree.  Each mesh cell contributes the
   signed solid angle of the spherical quadrilateral spanned by m_hat at its
   corners (two-triangle split, Van Oosterom-Strackee angles).
@@ -27,7 +26,7 @@ signed triangle areas an exact multiple of 4pi up to float rounding, so its
 residual reflects numerical noise only.  A too-coarse mesh gives a silently
 wrong integer, so cross_validate insists the methods agree, and a quadrature
 level fails (NotConverged) when neighbouring nodes of its k_x line at k_y =
-x[n // 2] are 90 degrees or more apart (dot <= 0): differences miss that turn.
+x[n // 2] are 90 degrees or more apart (dot <= 0): its nodes miss that turn.
 
 Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
 m_x changes sign, a reflection of the sphere, while the orientation of the
@@ -216,14 +215,6 @@ def _lines(params: GapParams, x: np.ndarray) -> np.ndarray:
     return np.array((mx, params.chi * mx, mz, mz))  # the k_y line is the swap image (Layout)
 
 
-def _derivatives(lines: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(..., edge_order=2) of the lines on x[n // 2:]: central, one-sided at the end."""
-    d = np.empty((4, lines.shape[1] - 1))
-    d[:, :-1] = (lines[:, 2:] - lines[:, :-2]) / (2.0 * h)
-    d[:, -1] = 0.5 / h * lines[:, -3] + -2.0 / h * lines[:, -2] + 1.5 / h * lines[:, -1]
-    return d
-
-
 def _finish(total: float, n_grid: int, k_max: float, method: str, lines=None) -> ChernResult:
     # overall sign fixes the orientation convention N(chi=+1, mu>0) = +1
     raw = -total / (4.0 * math.pi)
@@ -240,29 +231,21 @@ def _finish(total: float, n_grid: int, k_max: float, method: str, lines=None) ->
     return result
 
 
-def _quadrature_sum(params: GapParams, x: np.ndarray, h: float, lines: np.ndarray) -> float:
+def _quadrature_sum(params: GapParams, x: np.ndarray, h: float) -> float:
     """Trapezoid sum of the integrand over the mesh, walked on the octant of x[n // 2:]."""
-    px, py, qx, qy = _derivatives(lines, h)
-    ax, ay = lines[0, 1:] * qx, lines[1, 1:] * qy  # m_x q_x and m_y q_y
-    w = np.full(len(px), 2.0 * h)  # folded trapezoid weights w_i + w_(n-1-i); for odd n
-    w[0], w[-1] = 2.0 * h / (1 + len(x) % 2), h  # the node at k = 0 is its own mirror
+    w = np.full(len(x) - len(x) // 2, 2.0 * h)  # folded trapezoid weights w_i + w_(n-1-i); for
+    w[0], w[-1] = 2.0 * h / (1 + len(x) % 2), h  # odd n the node at k = 0 is its own mirror
     w2 = 2.0 * w
     # each row's k_y sum runs over the whole quadrant row, zero left of the diagonal,
     # so it is the same sum for every block size (a gemv would not keep that)
     inner = np.empty(len(w))
     for r0, m, s in _blocks(params, x[len(x) // 2:]):  # from the smallest |k|: h/2, or 0
         rows = slice(r0, r0 + len(s))
-        # m_z p_x p_y - m_x q_x p_y - m_y p_x q_y
-        numerator = m[2] * px[rows, None]
-        numerator -= ax[rows, None]
-        numerator *= py[r0:]
-        numerator -= px[rows, None] * ay[r0:]
-        numerator /= s * np.sqrt(s)
         row = np.zeros((len(s), len(w)))
-        np.multiply(numerator, w2[r0:], out=row[:, r0:])
+        row[:, r0:] = (m[2] + 2.0 * params.mu) / (s * np.sqrt(s)) * w2[r0:]  # (k^2 + mu) / |m|^3
         row[:, r0:rows.stop] *= _octant_factor(len(s))
         inner[rows] = row.sum(axis=1)
-    return float(w @ inner)
+    return -params.chi * params._inplane_prefactor() ** 2 * float(w @ inner)
 
 
 def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float:
@@ -332,17 +315,16 @@ def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float
 
 
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
-    """Invariant via finite-difference derivatives and the trapezoid rule.
+    """Invariant via the trapezoid rule on the closed-form integrand.
 
-    With p_x = dm_x/dk_x, p_y = dm_y/dk_y, q_x = dm_z/dk_x and q_y = dm_z/dk_y on the
-    middle mesh lines, d_x m = (p_x, 0, q_x) and d_y m = (0, p_y, q_y), so the numerator
-    of the integrand m . (d_x m x d_y m) / |m|^3 is a sum of outer products.
+    With p = params._inplane_prefactor(), the numerator of m . (d_x m x d_y m) / |m|^3
+    is -chi p^2 (k^2 + mu) = -chi p^2 (m_z + 2 mu): one factor per level times a sum of
+    (m_z + 2 mu) / |m|^3.
     """
     _check_inputs(params, k_max, n_grid)
     x, h = _mesh(k_max, n_grid)
-    lines = _lines(params, x)
-    return _finish(_quadrature_sum(params, x, h, lines) + _cap_closure(params, x),
-                   n_grid, k_max, "quadrature", lines)
+    return _finish(_quadrature_sum(params, x, h) + _cap_closure(params, x),
+                   n_grid, k_max, "quadrature", _lines(params, x))
 
 
 def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
@@ -374,7 +356,7 @@ def cross_validate(
 ) -> CrossValidation:
     """Run both estimators at escalating resolution and require agreement.
 
-    The grid starts at n_grid_start and doubles while it stays within MAX_GRID.
+    The grid starts at n_grid_start and doubles up to MAX_GRID, always the last level.
     With k_max = None the texture is first rescaled to its well-conditioned
     equivalent (same invariant) and the cutoff is chosen automatically; an
     explicit k_max evaluates the parameters exactly as given.
@@ -390,13 +372,12 @@ def cross_validate(
         x, h = _mesh(cutoff, n_grid)
         lines, cap = _lines(work, x), _cap_closure(work, x)  # shared by both estimators
         try:
-            quad = _finish(_quadrature_sum(work, x, h, lines) + cap, n_grid, cutoff, "quadrature",
-                           lines)
+            quad = _finish(_quadrature_sum(work, x, h) + cap, n_grid, cutoff, "quadrature", lines)
             plaq = _finish(_plaquette_sum(work, x, lines) + cap, n_grid, cutoff, "plaquette")
         except (NotConverged, DegeneratePlaquette):
-            if 2 * n_grid > MAX_GRID:
+            if n_grid == MAX_GRID:
                 raise
-            n_grid *= 2
+            n_grid = min(2 * n_grid, MAX_GRID)
             continue
         if quad.n_integer != plaq.n_integer:
             raise MethodDisagreement(

@@ -208,8 +208,11 @@ def _check_step(dt: float, scale: float) -> None:
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if dt * scale >= STEP_SAFETY_LIMIT:
-        raise StepTooLarge(
-            f"dt * max(|H|, gamma) = {dt * scale:.3g} must stay below {STEP_SAFETY_LIMIT}"
+        shown = f"{dt * scale:.6g}"  # in full where 6 digits would read as the limit itself
+        shown = repr(dt * scale) if float(shown) == STEP_SAFETY_LIMIT < dt * scale else shown
+        raise StepTooLarge(  # 2-digit rounding adds < 5%, so 0.95 * limit passes
+            f"dt * max(|H|, gamma) = {shown} must stay below {STEP_SAFETY_LIMIT}; "
+            f"lower dt to {0.95 * STEP_SAFETY_LIMIT / scale:.2g} or less"
         )
 
 

@@ -275,19 +275,15 @@ def selective_rf_pulse(
         raise InsufficientGradient(
             f"minimum bias separation {gap:g} is below 5*amp = {5.0 * amp:g}"
         )
-    # the largest bias sets the step bound; name it and the dt that would pass
-    worst = max(range(state.n), key=lambda q: abs(eps[q]))
-    bound = math.hypot(eps[worst], amp)
-    if dt * bound >= dynamics.STEP_SAFETY_LIMIT:
-        raise dynamics.StepTooLarge(  # 2-digit rounding adds < 5%, so 0.95 * limit passes
-            f"RF step dt = {dt:g} is too large for qubit {worst} (bias {eps[worst]:g}): "
-            f"dt * max(|H|, gamma) = {dt * bound:.6g} must stay below "
-            f"{dynamics.STEP_SAFETY_LIMIT}; "
-            f"lower dt to {0.95 * dynamics.STEP_SAFETY_LIMIT / bound:.2g} or less, "
-            "or lower epsilon in the chain config"
-        )
     params = TwoLevelParams(drive_amp=amp, drive_freq=2.0 * abs(eps[target]))
-    lab = dynamics._drive_propagators(params, duration, dt, eps)
+    try:
+        lab = dynamics._drive_propagators(params, duration, dt, eps)
+    except dynamics.StepTooLarge as exc:  # the largest bias sets the step bound: name it
+        worst = max(range(state.n), key=lambda q: abs(eps[q]))
+        raise dynamics.StepTooLarge(
+            f"RF step dt = {dt:g} is too large for qubit {worst} (bias {eps[worst]:g}): "
+            f"{exc}, or lower epsilon in the chain config"
+        ) from None
     # unwind each static bias over the pulse duration itself, not n_steps * dt
     rotating = dynamics._mul(dynamics._propagator(0.0, 0.0, -np.array(eps), duration), lab)
     amps = state.amps

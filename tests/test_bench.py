@@ -49,7 +49,7 @@ def test_layer_timer_runs(tmp_path):
         (kernel, None, n, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
     ] + [(kernel, None, None, n, None) for n in (1, 100) for kernel in STEP_KERNELS] + [
         (kernel, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
-    ] + [("import chiralqubit", None, None, None, None)]
+    ]
     assert all(row["best_s"] > 0.0 for row in layers)
     # every grid kernel allocates its mesh and every shot kernel its draws, so their traced
     # peaks are positive

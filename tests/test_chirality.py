@@ -227,6 +227,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=r"n_grid must be in \[32, 1024\], got 2048"):
             cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=2048)
 
+    def test_escalation_ends_at_the_cap(self, monkeypatch):
+        # a start that is not 1024 / 2^k doubles past the cap, so the cap is the last level
+        levels, mesh = [], chirality._mesh
+        monkeypatch.setattr(chirality, "_mesh", lambda k_max, n: levels.append(n) or mesh(k_max, n))
+        report = cross_validate(GapParams(0.3, 600.0, +1), n_grid_start=600)
+        assert levels == [600, 1024]
+        assert report.n_integer == +1 and report.quadrature.grid_size == 1024
+        with pytest.raises(NotConverged, match="unresolved at n_grid=1024"):
+            cross_validate(GapParams(0.001, 100.0, +1), k_max=80.0, n_grid_start=600)
+
 
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
@@ -364,14 +374,14 @@ class TestSwapSymmetry:
 
 
 class TestSharedLines:
-    """The mesh lines built once per level are the arrays each sum built for itself."""
+    """The mesh lines built once per level are the arrays the guard and the plaquette need."""
 
     @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
     @pytest.mark.parametrize("n_grid", [32, 33, 64, 65])
     def test_lines_are_each_sums_lines(self, params, n_grid):
         x, _ = chirality._mesh(7.3, n_grid)
         lines = chirality._lines(params, x)
-        # the quadrature's lines through x[mid] on the whole mesh, from node mid - 1 on
+        # the guard's lines through x[mid] on the whole mesh, from node mid - 1 on
         mid = n_grid // 2
         mx, _, mz_x = texture_field(x, x[mid], params)
         _, my, mz_y = texture_field(x[mid], x, params)
@@ -382,16 +392,6 @@ class TestSharedLines:
         mx, _, mz_x = texture_field(xq, xq[0], params)
         _, my, mz_y = texture_field(xq[0], xq, params)
         assert np.array_equal(lines[:, n_grid % 2:], np.stack((mx, my, mz_x, mz_y)))
-
-    @pytest.mark.parametrize("params", SYMMETRY_PARAMS)
-    @pytest.mark.parametrize("n_grid", [32, 33, 64, 1024])
-    def test_derivatives_are_gradient(self, params, n_grid):
-        x, h = chirality._mesh(7.3, n_grid)
-        mid = n_grid // 2
-        mx, _, mz_x = texture_field(x, x[mid], params)
-        _, my, mz_y = texture_field(x[mid], x, params)
-        expected = np.gradient(np.stack((mx, my, mz_x, mz_y)), h, axis=1, edge_order=2)[:, mid:]
-        assert np.array_equal(chirality._derivatives(chirality._lines(params, x), h), expected)
 
 
 class TestResolutionGuard:

@@ -105,6 +105,15 @@ class TestChern:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "unresolved at n_grid=1024" in err
 
+    def test_start_grid_off_the_doubling_reaches_the_cap(self, tmp_path):
+        # 600^2 fails; doubling would overshoot 1024, so the cap is tried and converges
+        code, out = run_to_file(tmp_path, "chern", "gap = 0.3\nmu = 600\nmethod = both\n"
+                                "n_grid = 600\n")
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+        assert [(row[0], row[1], row[4]) for row in rows] == [
+            ("quadrature", "1", "1024"), ("plaquette", "1", "1024")]
+
     def test_quadrature_silent_zero_exit_code(self, tmp_path, capsys):
         # the residual alone would report N = 0 (raw 3e-7) for chi = +1, mu > 0
         config = write(tmp_path / "c.cfg", "gap = 0.001\nmu = 100\nchi = 1\nk_max = 80\n"
@@ -192,6 +201,19 @@ class TestBeatDampRabi:
     def test_step_too_large_exit_code(self, tmp_path):
         config = write(tmp_path / "c.cfg", "delta = 0.5\ngamma = 10.0\ndt = 0.05\n")
         assert main(["damp", "--config", config]) == 4
+
+    @pytest.mark.parametrize("subcommand, config_text", [
+        ("damp", "delta = 0.5\ngamma = 10.0\nt_max = 5.0\n"),
+        ("rabi", "epsilon = 1.0\namp = 0.05\nomega = 2.0\nt_max = 5.0\n"),
+    ])
+    def test_step_too_large_names_the_fix(self, tmp_path, capsys, subcommand, config_text):
+        config = write(tmp_path / "c.cfg", config_text + "dt = 0.2\n")
+        assert main([subcommand, "--config", config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        suggested = err.split("lower dt to ")[1].split()[0]
+        code, _ = run_to_file(tmp_path, subcommand, config_text + f"dt = {suggested}\n")
+        assert code == 0
 
     @pytest.mark.parametrize("subcommand", ["beat", "damp", "rabi"])
     def test_overflowing_sample_count_is_config_error(self, tmp_path, capsys, subcommand):

@@ -558,6 +558,14 @@ class TestDriveKernels:
         with pytest.raises(StepTooLarge):
             _drive_propagators(params, 1.0, 0.01, [0.5, -11.0])
 
+    @pytest.mark.parametrize("dt", [0.1, 0.100001, 0.1000000001, 0.1 * (1.0 + 2.0**-52)])
+    def test_step_over_the_bound_never_reads_as_the_bound(self, dt):
+        # dt * scale is printed so that a value above the limit reads above it
+        with pytest.raises(StepTooLarge, match="must stay below 0.1; lower dt to") as excinfo:
+            _drive_propagators(TwoLevelParams(drive_amp=1.0, drive_freq=2.0), 1.0, dt, [0.0])
+        shown = str(excinfo.value).split(" = ")[1].split()[0]
+        assert float(shown) == dt or float(shown) > 0.1
+
 
 class TestStepCount:
     def test_rounds_to_nearest(self):
