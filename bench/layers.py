@@ -19,7 +19,13 @@ around the middle qubit q = n // 2: register.apply_single_gate (H on q),
 register.exchange_pulse (half pulse on the link q-1, q),
 register.cnot_composed (control q-1, target q), register.measure (of q, one
 persistent generator) and register.selective_rf_pulse (a pi pulse of amp
-0.05 on q at dt 0.01, biases 0.5 * (k + 1)).  At every step count n it times
+0.05 on q at dt 0.01, biases 0.5 * (k + 1)), and cli.run_chain on the RF chain
+of the evolve benchmark at n qubits (n RESETs, H on q and on q + 1 mod n, an RF
+pulse of amp 0.035 and duration 9.9 on q, the two H again and a MEASURE of q;
+one shot at field step 0.25 and dt 0.025, so 396 RF steps).  At two fixed shapes it
+times dynamics._propagator: a scalar call (one closed step at delta 0.5, dt 0.005)
+and the (12, 400) step grid of a 12-qubit RF pulse (biases 0.25 * (k + 1), drive
+amp 0.035, dt 0.025), the phase-free e0 = 0 path both take.  At every step count n it times
 dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
 of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
 omega 2), dynamics.evolve_closed composed n times over one step of dt 0.005
@@ -88,6 +94,7 @@ from chiralqubit.dynamics import (  # noqa: E402
     DensityMatrix,
     QubitState,
     TwoLevelParams,
+    _propagator,
     drive_evolve,
     drive_propagator,
     evolve_closed,
@@ -119,6 +126,7 @@ MIN_BATCH_S = 2e-3
 ALL_H_TEXT = ("".join(f"GATE {q} H\n" for q in range(MAX_QUBITS))
               + "".join(f"MEASURE {q}\n" for q in range(MAX_QUBITS)))
 ALL_H = parse_script(ALL_H_TEXT)
+RF_CHAIN_AMP, RF_CHAIN_DURATION, RF_CHAIN_STEP, RF_CHAIN_DT = 0.035, 9.9, 0.25, 0.025
 
 
 def _block_texture(n: int):
@@ -142,8 +150,17 @@ def grid_kernels(n: int) -> dict:
     }
 
 
-def register_kernels(n: int) -> dict:
-    """Zero-argument calls of the register kernels on an n-qubit state (n >= 2)."""
+def rf_chain_text(n: int) -> str:
+    """The evolve benchmark's RF chain on n qubits, addressed to the middle qubit."""
+    q, spectator = n // 2, (n // 2 + 1) % n
+    resets = "".join(f"RESET {k} {'+1' if k % 2 else '-1'}\n" for k in range(n))
+    return resets + (f"GATE {q} H\nGATE {spectator} H\nRF {q} {RF_CHAIN_AMP} {RF_CHAIN_DURATION}\n"
+                     f"GATE {q} H\nGATE {spectator} H\nMEASURE {q}\n")
+
+
+def register_kernels(n: int, tmp: str) -> dict:
+    """Zero-argument calls of the register kernels on an n-qubit state (n >= 2), and of the
+    chain subcommand on the n-qubit RF chain, its script written to the directory tmp."""
     rng = np.random.default_rng(0)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     state = RegisterState(n, amps / np.linalg.norm(amps))
@@ -151,6 +168,10 @@ def register_kernels(n: int) -> dict:
     link = CouplingLink(q - 1, q)
     profile = FieldProfile(tuple(FIELD_STEP * (k + 1) for k in range(n)))
     draws = np.random.default_rng(1)
+    script_path = Path(tmp, f"rf{n}.gates")
+    script_path.write_text(rf_chain_text(n), encoding="utf-8")
+    chain = {**_coerce("chain", {}), "script_path": str(script_path), "seed": 1,
+             "epsilon": RF_CHAIN_STEP, "dt": RF_CHAIN_DT}
     return {
         "register.apply_single_gate": lambda: apply_single_gate(state, q, SYMMETRIC),
         "register.exchange_pulse": lambda: exchange_pulse(state, link, math.pi / 2.0),
@@ -158,7 +179,19 @@ def register_kernels(n: int) -> dict:
         "register.measure": lambda: measure(state, q, draws),
         "register.selective_rf_pulse": lambda: selective_rf_pulse(
             state, profile, q, RF_AMP, math.pi / RF_AMP, RF_DT),
+        "cli.run_chain.rf": lambda: collections.deque(run_chain(chain), maxlen=0),
     }
+
+
+def propagator_kernels(shape: tuple) -> dict:
+    """A zero-argument call of dynamics._propagator at the output shape (before (2, 2))."""
+    if shape == ():
+        return {"dynamics._propagator": lambda: _propagator(0.0, -CLOSED.delta, 0.0, DRIVE_DT)}
+    biases, steps = shape
+    mid = (np.arange(steps) + 0.5) * RF_CHAIN_DT
+    x = RF_CHAIN_AMP * np.cos(2.0 * RF_CHAIN_STEP * mid)
+    eps = RF_CHAIN_STEP * (np.arange(biases) + 1.0)
+    return {"dynamics._propagator": lambda: _propagator(0.0, x, eps[:, None], RF_CHAIN_DT)}
 
 
 def _closed_steps(n: int) -> QubitState:
@@ -285,7 +318,8 @@ def main(argv=None) -> int:
         script_path.write_text(ALL_H_TEXT, encoding="utf-8")
         # (size key, sizes, kernels at one size, whether the row records peak_mb)
         tables = (("n_grid", args.sizes, grid_kernels, True),
-                  ("n_qubits", args.qubits, register_kernels, False),
+                  ("n_qubits", args.qubits, lambda n: register_kernels(n, tmp), False),
+                  ("shape", [(), (MAX_QUBITS, 400)], propagator_kernels, False),
                   ("n_steps", args.steps, step_kernels, False),
                   ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True))
         for key, sizes, kernels, traced in tables:
@@ -297,7 +331,7 @@ def main(argv=None) -> int:
                         row["peak_mb"] = peak_mb(call)
                     layers.append({**row, "outcome": outcome})
                     peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
-                    print(f"{name:28s} {key} {n:7d} {best * 1e3:9.3f} ms{peak}  {outcome}")
+                    print(f"{name:28s} {key} {n!s:>9} {best * 1e3:9.3f} ms{peak}  {outcome}")
     report = {
         "machine": machine(),
         "point": {"delta": PARAMS.delta, "mu": PARAMS.mu, "chi": PARAMS.chi, "k_max": K_MAX},

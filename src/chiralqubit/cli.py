@@ -241,11 +241,22 @@ def run_rabi(config: dict) -> Iterator[str]:
     return _rows("t,p_diff,pop_plus,pop_minus", times, p_plus - p_minus, p_plus, p_minus)
 
 
+@functools.cache
+def _label_halves(n: int) -> tuple[list[str], list[str]]:
+    """The basis label '|-1,+1,...> ' of index i of n qubits is high[i >> k] + low[i & (2**k - 1)],
+    k = n - n // 2: the first n // 2 qubits' part and the last k qubits' part."""
+    high = ["|" + "".join(bits) for bits in itertools.product(("-1,", "+1,"), repeat=n // 2)]
+    low = [",".join(bits) + "> " for bits in itertools.product(("-1", "+1"), repeat=n - n // 2)]
+    return high, low
+
+
 def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
     """'|-1,+1,...> p' for each basis state of probability p > 1e-12, in index order."""
     kept = np.flatnonzero(probs > 1e-12)
-    return ["|" + ",".join("+1" if bit == "1" else "-1" for bit in format(index, f"0{n}b"))
-            + f"> {_fmt(p)}" for index, p in zip(kept.tolist(), probs[kept].tolist())]
+    high, low = _label_halves(n)
+    k = n - n // 2
+    return [f"{high[h]}{low[lo]}{p!r}" for h, lo, p in
+            zip((kept >> k).tolist(), (kept & (2**k - 1)).tolist(), probs[kept].tolist())]
 
 
 def _shot_lines(tokens: list[str], shot_history: np.ndarray) -> Iterator[str]:

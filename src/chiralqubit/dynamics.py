@@ -142,11 +142,16 @@ def _propagator(e0, x, z, t) -> np.ndarray:
     # and omega = 0 gives the identity without a branch
     safe = np.where(omega == 0.0, 1.0, omega)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN entries
-        cos, sin = np.cos(omega * t), np.sin(omega * t)
-    u = np.empty(omega.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos + 1j * sin * (z / safe)
-    u[..., 1, 1] = cos - 1j * sin * (z / safe)
-    u[..., 0, 1] = u[..., 1, 0] = -1j * sin * (x / safe)
+        angle = omega * t
+        cos, sin = np.cos(angle), np.sin(angle)
+    u = np.zeros(omega.shape + (2, 2), dtype=complex)
+    re, im = u.real, u.imag  # the parts are written in place: no complex temporaries
+    re[..., 0, 0] = re[..., 1, 1] = cos
+    im[..., 0, 0] = sin * (z / safe)
+    np.negative(im[..., 0, 0], out=im[..., 1, 1])
+    im[..., 0, 1] = im[..., 1, 0] = -sin * (x / safe)
+    if not e0.any():  # exp(0) = 1 would change only the sign of a zero
+        return u
     return np.exp(-1j * e0 * t)[..., None, None] * u
 
 
@@ -317,9 +322,12 @@ def _total_product(steps: np.ndarray) -> np.ndarray:
 def _drive_propagators(params: TwoLevelParams, t: float, dt: float, epsilon) -> np.ndarray:
     """drive_propagator for each bias of the 1-D `epsilon`, which replaces params.epsilon."""
     eps = np.asarray(epsilon, dtype=float)
-    total = np.tile(IDENTITY, (len(eps), 1, 1))
-    for steps in _drive_steps(params, t, dt, eps[:, None]):
-        total = _mul(_total_product(steps), total)  # block totals in time order
+    totals = (_total_product(steps) for steps in _drive_steps(params, t, dt, eps[:, None]))
+    total = next(totals, None)
+    if total is None:  # a pulse of zero steps
+        return np.tile(IDENTITY, (len(eps), 1, 1))
+    for block in totals:
+        total = _mul(block, total)  # block totals in time order
     return total
 
 

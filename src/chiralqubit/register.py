@@ -107,7 +107,7 @@ class RegisterState:
         amps = np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"amplitude vector must have length {2**self.n}")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(_weight(amps))
         if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
             raise ValueError(f"amplitudes not normalized: |amps| = {norm!r}")
         amps.setflags(write=False)
@@ -292,17 +292,21 @@ def selective_rf_pulse(
     return RegisterState(state.n, amps)
 
 
-def _project(state: RegisterState, q: int, value: int, source: int | None = None) -> RegisterState:
+def _project(state: RegisterState, q: int, value: int, reset: bool = False) -> RegisterState:
     """Collapse qubit q onto chirality `value` and renormalize.
 
-    The kept amplitudes are qubit q's `source` component (default: `value`
-    itself); the other component is zeroed.
+    The other component is zeroed.  With `reset`, a `value` component of
+    (numerically) zero weight is replaced by the other one, moved into its slot.
     """
     bit = _bit(value)
     psi = _block(state.amps, q)
-    keep = psi[:, bit if source is None else _bit(source)]
+    keep = psi[:, bit]
+    weight = _weight(keep)
+    if reset and not weight > 1e-24:
+        keep = psi[:, 1 - bit]
+        weight = _weight(keep)
     out = np.zeros_like(psi)
-    out[:, bit] = keep / math.sqrt(_weight(keep))
+    out[:, bit] = keep / math.sqrt(weight)
     return RegisterState(state.n, out.reshape(-1))
 
 
@@ -314,8 +318,7 @@ def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
     so the reset always succeeds deterministically.
     """
     _check_index(state, q)
-    weight = _weight(_block(state.amps, q)[:, _bit(value)])
-    return _project(state, q, value, value if weight > 1e-24 else -value)
+    return _project(state, q, value, reset=True)
 
 
 def measure(state: RegisterState, q: int, seed) -> tuple[int, RegisterState]:

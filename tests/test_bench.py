@@ -21,7 +21,9 @@ REGISTER_KERNELS = [
     "register.cnot_composed",
     "register.measure",
     "register.selective_rf_pulse",
+    "cli.run_chain.rf",
 ]
+PROPAGATOR_SHAPES = [(), (12, 400)]
 STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
                 "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
@@ -43,12 +45,15 @@ def test_layer_timer_runs(tmp_path):
     assert "OMP_NUM_THREADS" in report["machine"]["thread_env"]
     assert report["repeats"] == 1
     layers = report["layers"]
-    sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("n_steps"),
-              row.get("n_shots")) for row in layers]
-    assert sizes == [(kernel, n, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS] + [
-        (kernel, None, n, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
-    ] + [(kernel, None, None, n, None) for n in (1, 100) for kernel in STEP_KERNELS] + [
-        (kernel, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
+    sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("shape"),
+              row.get("n_steps"), row.get("n_shots")) for row in layers]
+    assert sizes == [
+        (kernel, n, None, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS
+    ] + [(kernel, None, n, None, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS] + [
+        ("dynamics._propagator", None, None, list(shape), None, None)
+        for shape in PROPAGATOR_SHAPES
+    ] + [(kernel, None, None, None, n, None) for n in (1, 100) for kernel in STEP_KERNELS] + [
+        (kernel, None, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
     ]
     assert all(row["best_s"] > 0.0 for row in layers)
     # every grid kernel allocates its mesh and every shot kernel its draws, so their traced

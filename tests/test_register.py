@@ -81,6 +81,35 @@ class TestRegisterState:
         with pytest.raises(ValueError, match="not normalized"):
             RegisterState(1, np.array(amps))
 
+    @staticmethod
+    def norm_check_reference(amps) -> bool:
+        """The acceptance rule as first written, on np.linalg.norm (which warns on overflow)."""
+        with np.errstate(over="ignore"):
+            return abs(np.linalg.norm(np.array(amps, dtype=complex)) - 1.0) <= 1e-10
+
+    # (label, amplitudes, accepted): norm errors on both sides of the 1e-10 tolerance and
+    # amplitudes whose squares are not finite, overflow or underflow
+    NORM_TABLE = [
+        ("exact", [0.6, 0.8j], True),
+        ("error 5e-11", [0.6 * (1.0 + 5e-11), 0.8 * (1.0 + 5e-11)], True),
+        ("error -5e-11", [0.6 * (1.0 - 5e-11), -0.8 * (1.0 - 5e-11)], True),
+        ("error 2e-10", [0.6 * (1.0 + 2e-10), 0.8 * (1.0 + 2e-10)], False),
+        ("error -2e-10", [0.6j * (1.0 - 2e-10), 0.8 * (1.0 - 2e-10)], False),
+        ("nan", [math.nan, 1.0], False),
+        ("inf", [math.inf, 0.0], False),
+        ("1e200", [1e200, 0.0], False),
+        ("1e-200", [1e-200, 0.0], False),
+    ]
+
+    @pytest.mark.parametrize("label, amps, accepted", NORM_TABLE, ids=[r[0] for r in NORM_TABLE])
+    def test_norm_check_table(self, label, amps, accepted):
+        assert self.norm_check_reference(amps) == accepted
+        if accepted:
+            assert np.array_equal(RegisterState(1, amps).amps, amps)
+        else:
+            with pytest.raises(ValueError, match=r"amplitudes not normalized: \|amps\| = "):
+                RegisterState(1, amps)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             RegisterState.all_minus(13)
