@@ -36,9 +36,13 @@ counts it times the trajectory CSV writer, cli._rows written through
 cli._emit to a sink that drops the text, on the n + 1 rows of a beat table
 (t, p_diff, pop_plus, pop_minus of the closed qubit at delta 0.5, dt 0.005)
 and of a damp table (the same plus purity, from the damped run above); the
-columns are built outside the timed call.  At every shot count
-n it times gatescript.run_script over n shots of the 12-qubit script that
-puts every qubit through H and then measures them all (seed 1), the widest
+columns are built outside the timed call.  At two fixed table shapes it
+times the writer alone, _floatcsv.csv_block, on one block as cli._rows hands
+it over: a 4,096-row damp table (a full block of EMIT_LINES rows, 5 columns)
+and a 1,001-row beat table (4 columns); these rows also give the time per
+value, ns_per_value.  At every shot count n it times gatescript.run_script
+over n shots of the 12-qubit script that puts every qubit through H and
+then measures them all (seed 1), the widest
 outcome tree the register allows, and cli.run_chain on the same script, read
 from a temporary file, with the chain defaults: the shot engine plus the
 chain's output lines.
@@ -88,7 +92,8 @@ from chiralqubit.chirality import (  # noqa: E402
     chern_quadrature,
     cross_validate,
 )
-from chiralqubit.cli import _coerce, _emit, _rows, run_chain  # noqa: E402
+from chiralqubit._floatcsv import csv_block  # noqa: E402
+from chiralqubit.cli import EMIT_LINES, _coerce, _emit, _rows, run_chain  # noqa: E402
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
     DensityMatrix,
@@ -235,6 +240,22 @@ def step_kernels(n: int) -> dict:
     }
 
 
+def writer_kernels(shape: tuple) -> dict:
+    """A zero-argument call of the CSV block writer on a (rows, columns) table: the damp table
+    (5 columns) or the beat table (4 columns) over rows - 1 steps."""
+    rows, columns = shape
+    if columns == 5:
+        rho = DensityMatrix.from_state(QubitState.plus())
+        times, rhos = evolve_damped(rho, DAMPED, (rows - 1) * DRIVE_DT, DRIVE_DT)
+        table = (times, *_populations(rhos[:, 1, 1].real, rhos[:, 0, 0].real),
+                 np.einsum("tij,tji->t", rhos, rhos).real)
+    else:
+        times, amps = drive_evolve(QubitState.plus(), CLOSED, (rows - 1) * DRIVE_DT, DRIVE_DT)
+        table = (times, *_populations(np.abs(amps[:, 1]) ** 2, np.abs(amps[:, 0]) ** 2))
+    table = np.column_stack(table)
+    return {"_floatcsv.csv_block": lambda: csv_block(table)}
+
+
 def shot_kernels(n: int, script_path: str) -> dict:
     """Zero-argument calls of the shot engine and the chain subcommand over n shots."""
     config = {**_coerce("chain", {}), "script_path": script_path, "seed": 1, "shots": n}
@@ -321,6 +342,7 @@ def main(argv=None) -> int:
                   ("n_qubits", args.qubits, lambda n: register_kernels(n, tmp), False),
                   ("shape", [(), (MAX_QUBITS, 400)], propagator_kernels, False),
                   ("n_steps", args.steps, step_kernels, False),
+                  ("table", [(EMIT_LINES, 5), (1001, 4)], writer_kernels, False),
                   ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True))
         for key, sizes, kernels, traced in tables:
             for n in sizes:
@@ -329,6 +351,8 @@ def main(argv=None) -> int:
                     row = {"kernel": name, key: n, "best_s": best}
                     if traced:
                         row["peak_mb"] = peak_mb(call)
+                    if key == "table":
+                        row["ns_per_value"] = best * 1e9 / (n[0] * n[1])
                     layers.append({**row, "outcome": outcome})
                     peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
                     print(f"{name:28s} {key} {n!s:>9} {best * 1e3:9.3f} ms{peak}  {outcome}")

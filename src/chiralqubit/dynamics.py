@@ -60,11 +60,6 @@ class TwoLevelParams:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    @property
-    def splitting(self) -> float:
-        """Energy gap 2*sqrt(delta^2 + epsilon^2) between the eigenstates."""
-        return 2.0 * math.hypot(self.delta, self.epsilon)
-
 
 @dataclass(frozen=True)
 class QubitState:
@@ -99,10 +94,6 @@ class QubitState:
     def vector(self) -> np.ndarray:
         return np.array([self.amp_minus, self.amp_plus])
 
-    def population_diff(self) -> float:
-        """P(+1) - P(-1)."""
-        return abs(self.amp_plus) ** 2 - abs(self.amp_minus) ** 2
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -129,9 +120,6 @@ class DensityMatrix:
     def from_state(cls, state: QubitState) -> "DensityMatrix":
         v = state.vector
         return cls(np.outer(v, v.conj()))
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
 
 def _propagator(e0, x, z, t) -> np.ndarray:

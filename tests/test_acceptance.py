@@ -28,6 +28,10 @@ from chiralqubit.register import (
 LINK01 = CouplingLink(0, 1, on=True)
 
 
+def population_diff(state: QubitState) -> float:
+    return abs(state.amp_plus) ** 2 - abs(state.amp_minus) ** 2
+
+
 def verdict(number: int, label: str, ok: bool) -> None:
     print(f"criterion {number:02d} {label}: {'PASS' if ok else 'FAIL'}", flush=True)
     assert ok, f"criterion {number:02d} {label}"
@@ -63,7 +67,7 @@ def test_criterion_03_beating_law():
         times = np.linspace(0.0, horizon, 1000, endpoint=False)
         worst = max(
             abs(
-                dynamics.evolve_closed(QubitState.plus(), params, t).population_diff()
+                population_diff(dynamics.evolve_closed(QubitState.plus(), params, t))
                 - math.cos(2.0 * delta * t)
             )
             for t in times
@@ -74,7 +78,7 @@ def test_criterion_03_beating_law():
         dt = horizon / n
         grid = np.arange(n) * dt
         signal = np.array(
-            [dynamics.evolve_closed(QubitState.plus(), params, t).population_diff() for t in grid]
+            [population_diff(dynamics.evolve_closed(QubitState.plus(), params, t)) for t in grid]
         )
         spectrum = np.abs(np.fft.rfft(signal - signal.mean()))
         bin_width = 2.0 * math.pi / horizon

@@ -1,11 +1,15 @@
-"""Smoke test: the layer timer in bench/ runs at its smallest sizes and writes its report."""
+"""Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, and
+the byte digest tells a tree from itself and from a one-character change."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
+DIGEST = ROOT / "bench" / "digest.py"
 GRID_KERNELS = [
     "kspace.texture_field",
     "chirality._cap_closure",
@@ -26,6 +30,7 @@ REGISTER_KERNELS = [
 PROPAGATOR_SHAPES = [(), (12, 400)]
 STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
                 "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
+WRITER_TABLES = [(4096, 5), (1001, 4)]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
 
 
@@ -46,15 +51,25 @@ def test_layer_timer_runs(tmp_path):
     assert report["repeats"] == 1
     layers = report["layers"]
     sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("shape"),
-              row.get("n_steps"), row.get("n_shots")) for row in layers]
+              row.get("n_steps"), row.get("table"), row.get("n_shots")) for row in layers]
     assert sizes == [
-        (kernel, n, None, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS
-    ] + [(kernel, None, n, None, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS] + [
-        ("dynamics._propagator", None, None, list(shape), None, None)
+        (kernel, n, None, None, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS
+    ] + [
+        (kernel, None, n, None, None, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
+    ] + [
+        ("dynamics._propagator", None, None, list(shape), None, None, None)
         for shape in PROPAGATOR_SHAPES
-    ] + [(kernel, None, None, None, n, None) for n in (1, 100) for kernel in STEP_KERNELS] + [
-        (kernel, None, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
+    ] + [
+        (kernel, None, None, None, n, None, None) for n in (1, 100) for kernel in STEP_KERNELS
+    ] + [
+        ("_floatcsv.csv_block", None, None, None, None, list(shape), None)
+        for shape in WRITER_TABLES
+    ] + [
+        (kernel, None, None, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
     ]
+    # the writer rows, and they alone, give the time per value of the block
+    assert all(row["ns_per_value"] > 0.0 for row in layers if "table" in row)
+    assert not any("ns_per_value" in row for row in layers if "table" not in row)
     assert all(row["best_s"] > 0.0 for row in layers)
     # every grid kernel allocates its mesh and every shot kernel its draws, so their traced
     # peaks are positive
@@ -62,3 +77,35 @@ def test_layer_timer_runs(tmp_path):
     # 64^2 resolves the configs/chern.cfg point with both estimators
     assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
     assert all(row["outcome"] == "ok" for row in layers if "n_grid" not in row)
+
+
+def test_digest_tells_a_one_character_change(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    command = [sys.executable, str(DIGEST), "--limit", "3", "--against", str(tree)]
+    # configs/beat.cfg, bell_chain.cfg and chain.cfg, each with --out and to stdout
+    same = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == ["6 of 6 invocations the same"]
+
+    cli = tree / "src" / "chiralqubit" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('"t,p_diff,pop_plus,pop_minus"') == 1
+    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', '"t,p_diff,pop_plus,pop_minuS"'),
+                   encoding="utf-8")
+    changed = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert changed.returncode == 1, changed.stderr
+    assert changed.stdout.splitlines() == [
+        "differs: configs/beat.cfg (out)", "differs: configs/beat.cfg (stdout)",
+        "4 of 6 invocations the same"]
+
+
+def test_digest_lines(tmp_path):
+    proc = subprocess.run([sys.executable, str(DIGEST), "--limit", "1"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["name"], line["mode"], line["exit"]) for line in lines] == [
+        ("configs/beat.cfg", "out", 0), ("configs/beat.cfg", "stdout", 0)]
+    # the file written with --out holds the bytes the other run wrote to stdout
+    assert lines[0]["file"] == lines[1]["stdout"] and lines[1]["file"] is None

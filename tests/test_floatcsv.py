@@ -1,5 +1,10 @@
 """The trajectory CSV writer gives the bytes of a per-value repr join for every finite double."""
 
+import decimal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +32,7 @@ def assert_same_bytes(values, columns: int = 1) -> None:
 def shortest(values):
     """_shortest on positive normal values that are not powers of two: (c, E, undecided)."""
     x = np.asarray(values, dtype=float)
-    return _floatcsv._shortest(x, np.frexp(x)[1], *_floatcsv._tables()[2:4])
+    return _floatcsv._shortest(x, np.frexp(x)[1], _floatcsv._tables()[2])
 
 
 @settings(max_examples=400, deadline=None)
@@ -116,3 +121,52 @@ def test_fallback_inside_a_block(monkeypatch):
     table = np.array([[0.1, -0.0, 2.5], [1e-05, 0.25, 5e-324], [3.0, 0.0, -7.25e-3]])
     assert csv_block(table) == "0.1,-0.0,2.5\n1e-05,0.25,5e-324\n3.0,0.0,-0.00725\n"
     assert written == [-0.0, 1e-05, 0.25, 5e-324, 0.0]
+
+
+def _in_cell(E: int, nd: int) -> float:
+    """A positive value whose repr has nd significant digits and decimal exponent E, and whose
+    digits the writer certifies (not a power of two, not undecided).  The one exception is
+    E = 15 with 17 digits: such a value ends in .5, an exact tie at 16 digits, so repr writes
+    every one of them."""
+    digits = ("31415926535897932" if E < 308 else "12345678912345678")[:nd]
+    value = float(f"{digits[0]}.{digits[1:]}e{E}")
+    for _ in range(100):
+        written = decimal.Decimal(repr(value)).normalize()
+        certified = np.frexp(value)[0] != 0.5 and not shortest([value])[2][0]
+        if (len(written.as_tuple().digits), written.adjusted()) == (nd, E) and \
+                (certified or (E, nd) == (15, 17)):
+            return value
+        value = float(np.nextafter(value, np.inf))
+    raise AssertionError(f"no certified value with {nd} digits at E = {E}")
+
+
+# every fixed-notation E, then exponent notation with two and with three exponent digits
+NOTATION_E = list(range(-4, 16)) + [-5, -42, -99, 16, 42, 99, -100, -307, 100, 308]
+
+
+def test_every_layout_cell_in_every_column():
+    cells = np.array([_in_cell(E, nd) for E in NOTATION_E for nd in range(1, 18)])
+    values = np.concatenate([cells, -cells])
+    table = np.stack([values, np.roll(values, 1), np.roll(values, 2)], axis=1)
+    assert_same_bytes(table, 3)
+
+
+FALLBACKS = [0.0, -0.0, 5e-324, -2.5e-310, 0.5, -1024.0, 2.0**-1022]
+
+
+@pytest.mark.parametrize("value", FALLBACKS)
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all three"])
+def test_fallback_first_middle_and_last_in_a_block(value, where):
+    table = np.array([[_in_cell(E, nd) for nd in (3, 16, 17)] for E in (-3, 0, 7, 20, -150)])
+    spots = {"first": [(0, 0)], "middle": [(2, 1)], "last": [(4, 2)]}
+    for spot in spots.get(where, [(0, 0), (2, 1), (4, 2)]):
+        table[spot] = value
+    assert_same_bytes(table, 3)
+
+
+def test_no_writer_tables_at_import():
+    # the tables are built on the first call, so importing the CLI costs nothing for them
+    code = "import chiralqubit.cli, chiralqubit._floatcsv as f; print(f._tables.cache_info())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parents[1] / "src", check=True)
+    assert "currsize=0" in proc.stdout
