@@ -27,6 +27,9 @@ residual reflects numerical noise only.  A too-coarse mesh gives a silently
 wrong integer, so cross_validate insists the methods agree, and a quadrature
 level fails (NotConverged) when neighbouring nodes of its k_x line at k_y =
 x[n // 2] are 90 degrees or more apart (dot <= 0): its nodes miss that turn.
+_level alone evaluates a grid level, for each estimator and for cross_validate:
+it builds the mesh, lines and cap closure once and judges each result, the
+quadrature's first, before the next sum runs.
 
 Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
 m_x changes sign, a reflection of the sphere, while the orientation of the
@@ -81,6 +84,7 @@ from .kspace import GapParams, texture_field
 RESIDUAL_LIMIT = 1e-3
 ANTIPODAL_TOL = 1e-9
 MAX_GRID = 1024  # largest n_grid per side
+N_GRID_START = 128  # cross_validate's first n_grid
 BLOCK = 2**13  # mesh points per block of rows: a cache-sized float array of 64 KiB
 
 
@@ -215,22 +219,6 @@ def _lines(params: GapParams, x: np.ndarray) -> np.ndarray:
     return np.array((mx, params.chi * mx, mz, mz))  # the k_y line is the swap image (Layout)
 
 
-def _finish(total: float, n_grid: int, k_max: float, method: str, lines=None) -> ChernResult:
-    # overall sign fixes the orientation convention N(chi=+1, mu>0) = +1
-    raw = -total / (4.0 * math.pi)
-    n_int = int(round(raw))
-    residual = abs(raw - n_int)
-    result = ChernResult(n_int, raw, residual, n_grid, k_max, method)
-    if lines is not None:  # the quadrature's resolution guard: unnormalized neighbour dots
-        mx, mz = lines[0], lines[2]  # along the k_x line, where m_y = lines[1, 1]
-        if (mx[:-1] * mx[1:] + lines[1, 1] ** 2 + mz[:-1] * mz[1:]).min() <= 0.0:
-            raise NotConverged(result, f"the texture is unresolved at n_grid={n_grid}: "
-                               "neighbouring mesh nodes are 90 degrees or more apart")
-    if residual >= RESIDUAL_LIMIT:
-        raise NotConverged(result)
-    return result
-
-
 def _quadrature_sum(params: GapParams, x: np.ndarray, h: float) -> float:
     """Trapezoid sum of the integrand over the mesh, walked on the octant of x[n // 2:]."""
     w = np.full(len(x) - len(x) // 2, 2.0 * h)  # folded trapezoid weights w_i + w_(n-1-i); for
@@ -314,6 +302,30 @@ def _plaquette_sum(params: GapParams, x: np.ndarray, lines: np.ndarray) -> float
     return 2.0 * interior
 
 
+def _level(params: GapParams, k_max: float, n_grid: int, methods: tuple) -> list[ChernResult]:
+    """Each method's result at one grid level, in the order given: the mesh, its lines and the
+    cap closure are built once, and each result is judged before the next method runs."""
+    _check_inputs(params, k_max, n_grid)
+    x, h = _mesh(k_max, n_grid)
+    lines, cap = _lines(params, x), _cap_closure(params, x)
+    mx, mz = lines[0], lines[2]  # along the k_x line, where m_y = lines[1, 1]
+    results = []
+    for method in methods:
+        quadrature = method == "quadrature"
+        total = _quadrature_sum(params, x, h) if quadrature else _plaquette_sum(params, x, lines)
+        raw = -(total + cap) / (4.0 * math.pi)  # the sign fixes N(chi=+1, mu>0) = +1
+        n_int = int(round(raw))
+        result = ChernResult(n_int, raw, abs(raw - n_int), n_grid, k_max, method)
+        # the quadrature's resolution guard: unnormalized neighbour dots along the k_x line
+        if quadrature and (mx[:-1] * mx[1:] + lines[1, 1] ** 2 + mz[:-1] * mz[1:]).min() <= 0.0:
+            raise NotConverged(result, f"the texture is unresolved at n_grid={n_grid}: "
+                               "neighbouring mesh nodes are 90 degrees or more apart")
+        if result.residual >= RESIDUAL_LIMIT:
+            raise NotConverged(result)
+        results.append(result)
+    return results
+
+
 def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via the trapezoid rule on the closed-form integrand.
 
@@ -321,18 +333,12 @@ def chern_quadrature(params: GapParams, k_max: float, n_grid: int) -> ChernResul
     is -chi p^2 (k^2 + mu) = -chi p^2 (m_z + 2 mu): one factor per level times a sum of
     (m_z + 2 mu) / |m|^3.
     """
-    _check_inputs(params, k_max, n_grid)
-    x, h = _mesh(k_max, n_grid)
-    return _finish(_quadrature_sum(params, x, h) + _cap_closure(params, x),
-                   n_grid, k_max, "quadrature", _lines(params, x))
+    return _level(params, k_max, n_grid, ("quadrature",))[0]
 
 
 def chern_plaquette(params: GapParams, k_max: float, n_grid: int) -> ChernResult:
     """Invariant via the discrete degree (signed spherical plaquette areas)."""
-    _check_inputs(params, k_max, n_grid)
-    x, _ = _mesh(k_max, n_grid)
-    return _finish(_plaquette_sum(params, x, _lines(params, x)) + _cap_closure(params, x),
-                   n_grid, k_max, "plaquette")
+    return _level(params, k_max, n_grid, ("plaquette",))[0]
 
 
 def _conditioned(params: GapParams) -> GapParams:
@@ -352,7 +358,7 @@ def _conditioned(params: GapParams) -> GapParams:
 def cross_validate(
     params: GapParams,
     k_max: float | None = None,
-    n_grid_start: int = 128,
+    n_grid_start: int = N_GRID_START,
 ) -> CrossValidation:
     """Run both estimators at escalating resolution and require agreement.
 
@@ -368,12 +374,8 @@ def cross_validate(
 
     n_grid = n_grid_start
     while True:
-        _check_inputs(work, cutoff, n_grid)
-        x, h = _mesh(cutoff, n_grid)
-        lines, cap = _lines(work, x), _cap_closure(work, x)  # shared by both estimators
         try:
-            quad = _finish(_quadrature_sum(work, x, h) + cap, n_grid, cutoff, "quadrature", lines)
-            plaq = _finish(_plaquette_sum(work, x, lines) + cap, n_grid, cutoff, "plaquette")
+            quad, plaq = _level(work, cutoff, n_grid, ("quadrature", "plaquette"))
         except (NotConverged, DegeneratePlaquette):
             if n_grid == MAX_GRID:
                 raise

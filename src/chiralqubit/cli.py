@@ -68,25 +68,6 @@ _EXIT_CODES = (
 )
 _MAPPED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
-# subcommand -> config key -> (type, default); every subcommand also takes output_path
-_SCHEMAS = {
-    "chern": {"gap": (float, 1.0), "mu": (float, 1.0), "chi": (int, 1), "k_max": (float, None),
-              "n_grid": (int, None), "method": (str, "both")},
-    "beat": {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
-             "t_max": (float, 20.0), "dt": (float, 0.01)},
-    "damp": {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
-             "gamma": (float, 0.1), "t_max": (float, 20.0), "dt": (float, 0.01)},
-    "rabi": {"e0": (float, 0.0), "delta": (float, 0.0), "epsilon": (float, 1.0),
-             "amp": (float, 0.05), "omega": (float, 2.0), "t_max": (float, 20.0),
-             "dt": (float, 0.005)},
-    "chain": {"script_path": (str, None), "seed": (int, 0), "shots": (int, 1),
-              "epsilon": (float, 1.0), "dt": (float, 0.01)},
-    # the material keys are MaterialParams' fields, with its defaults
-    "device": {"h_gauss": (float, 1.0), **{field.name: (float, field.default)
-                                           for field in dataclasses.fields(MaterialParams)}},
-}
-
-
 def _read_text(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -113,7 +94,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(subcommand: str, raw: dict[str, str]) -> dict:
-    schema = {**_SCHEMAS[subcommand], "output_path": (str, None)}
+    schema = {**_SUBCOMMANDS[subcommand][1], "output_path": (str, None)}
     config = {key: default for key, (_, default) in schema.items()}
     for key, token in raw.items():
         if key not in schema:
@@ -200,7 +181,7 @@ def run_chern(config: dict) -> Iterator[str]:
         raise ConfigError(f"method must be both, quadrature or plaquette, got {method!r}")
     lines = ["method,n_integer,raw,residual,n_grid,k_max"]
     if method == "both":
-        start = config["n_grid"] if config["n_grid"] is not None else 128
+        start = config["n_grid"] if config["n_grid"] is not None else chirality.N_GRID_START
         report = chirality.cross_validate(params, k_max=config["k_max"], n_grid_start=start)
         lines.append(_chern_row(report.quadrature))
         lines.append(_chern_row(report.plaquette))
@@ -242,21 +223,16 @@ def run_rabi(config: dict) -> Iterator[str]:
 
 
 @functools.cache
-def _label_halves(n: int) -> tuple[list[str], list[str]]:
-    """The basis label '|-1,+1,...> ' of index i of n qubits is high[i >> k] + low[i & (2**k - 1)],
-    k = n - n // 2: the first n // 2 qubits' part and the last k qubits' part."""
-    high = ["|" + "".join(bits) for bits in itertools.product(("-1,", "+1,"), repeat=n // 2)]
-    low = [",".join(bits) + "> " for bits in itertools.product(("-1", "+1"), repeat=n - n // 2)]
-    return high, low
+def _labels(n: int) -> list[str]:
+    """The basis label '|-1,+1,...> ' of each index of n qubits, qubit 0 leftmost."""
+    return ["|" + ",".join(bits) + "> " for bits in itertools.product(("-1", "+1"), repeat=n)]
 
 
 def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
     """'|-1,+1,...> p' for each basis state of probability p > 1e-12, in index order."""
     kept = np.flatnonzero(probs > 1e-12)
-    high, low = _label_halves(n)
-    k = n - n // 2
-    return [f"{high[h]}{low[lo]}{p!r}" for h, lo, p in
-            zip((kept >> k).tolist(), (kept & (2**k - 1)).tolist(), probs[kept].tolist())]
+    labels = _labels(n)
+    return [f"{labels[i]}{p!r}" for i, p in zip(kept.tolist(), probs[kept].tolist())]
 
 
 def _shot_lines(tokens: list[str], shot_history: np.ndarray) -> Iterator[str]:
@@ -321,13 +297,22 @@ def run_device(config: dict) -> Iterator[str]:
     return _text(lines)
 
 
-_RUNNERS = {
-    "chern": run_chern,
-    "beat": run_beat,
-    "damp": run_damp,
-    "rabi": run_rabi,
-    "chain": run_chain,
-    "device": run_device,
+# subcommand -> (runner, config key -> (type, default)); every subcommand also takes output_path
+_SUBCOMMANDS = {
+    "chern": (run_chern, {"gap": (float, 1.0), "mu": (float, 1.0), "chi": (int, 1),
+                          "k_max": (float, None), "n_grid": (int, None), "method": (str, "both")}),
+    "beat": (run_beat, {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
+                        "t_max": (float, 20.0), "dt": (float, 0.01)}),
+    "damp": (run_damp, {"e0": (float, 0.0), "delta": (float, 0.5), "epsilon": (float, 0.0),
+                        "gamma": (float, 0.1), "t_max": (float, 20.0), "dt": (float, 0.01)}),
+    "rabi": (run_rabi, {"e0": (float, 0.0), "delta": (float, 0.0), "epsilon": (float, 1.0),
+                        "amp": (float, 0.05), "omega": (float, 2.0), "t_max": (float, 20.0),
+                        "dt": (float, 0.005)}),
+    "chain": (run_chain, {"script_path": (str, None), "seed": (int, 0), "shots": (int, 1),
+                          "epsilon": (float, 1.0), "dt": (float, 0.01)}),
+    # the material keys are MaterialParams' fields, with its defaults
+    "device": (run_device, {"h_gauss": (float, 1.0), **{
+        field.name: (float, field.default) for field in dataclasses.fields(MaterialParams)}}),
 }
 
 
@@ -343,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="chiral p-wave qubit simulator: invariants, beating, chains, sizing",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
+    for name in _SUBCOMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="path to a 'key = value' config file")
         cmd.add_argument("--out", default=None, help="output file (stdout when omitted)")
@@ -356,9 +341,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = _coerce(args.subcommand,
                          _read_config_file(args.config) if args.config is not None else {})
-        if args.seed is not None and "seed" in _SCHEMAS[args.subcommand]:
+        if args.seed is not None and "seed" in config:
             config["seed"] = args.seed
-        text = _RUNNERS[args.subcommand](config)
+        text = _SUBCOMMANDS[args.subcommand][0](config)
         _emit(text, args.out if args.out is not None else config.get("output_path"))
     except _MAPPED as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,11 +30,6 @@ from .dynamics import TwoLevelParams
 MAX_QUBITS = 12
 UNITARITY_TOL = 1e-10
 
-IDENTITY_2 = dynamics.IDENTITY
-PAULI_X = dynamics.SIGMA_X
-PAULI_Y = dynamics.SIGMA_Y
-PAULI_Z = dynamics.SIGMA_Z
-
 # symmetric-combination gate: |+1> -> (|-1> + |+1>)/sqrt(2)
 SYMMETRIC = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -43,10 +38,10 @@ SWAP_4 = np.array(
 )
 
 NAMED_GATES = {
-    "I": IDENTITY_2,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
+    "I": dynamics.IDENTITY,
+    "X": dynamics.SIGMA_X,
+    "Y": dynamics.SIGMA_Y,
+    "Z": dynamics.SIGMA_Z,
     "H": SYMMETRIC,
 }
 
@@ -91,9 +86,6 @@ class FieldProfile:
         if not all(math.isfinite(e) for e in eps):
             raise ValueError("bias values must be finite")
         object.__setattr__(self, "eps", eps)
-
-    def __len__(self) -> int:
-        return len(self.eps)
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,7 @@ def apply_single_gate(state: RegisterState, q: int, gate: np.ndarray) -> Registe
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise NotUnitary(f"gate must be 2x2, got shape {gate.shape}")
-    if np.abs(gate.conj().T @ gate - IDENTITY_2).max() > UNITARITY_TOL:
+    if np.abs(gate.conj().T @ gate - dynamics.IDENTITY).max() > UNITARITY_TOL:
         raise NotUnitary("gate is not unitary within 1e-10")
     return RegisterState(state.n, _apply(state.amps, q, gate))
 
@@ -263,8 +255,8 @@ def selective_rf_pulse(
     population error bounded by amp^2/(amp^2 + detuning^2) and nothing else.
     """
     _check_index(state, target)
-    if len(profile) != state.n:
-        raise ValueError(f"profile has {len(profile)} biases for {state.n} qubits")
+    if len(profile.eps) != state.n:
+        raise ValueError(f"profile has {len(profile.eps)} biases for {state.n} qubits")
     if not (amp >= 0.0 and math.isfinite(amp)):
         raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
     if amp == 0.0:

@@ -237,6 +237,18 @@ class TestCrossValidate:
         with pytest.raises(NotConverged, match="unresolved at n_grid=1024"):
             cross_validate(GapParams(0.001, 100.0, +1), k_max=80.0, n_grid_start=600)
 
+    def test_residual_limit_judges_the_plaquette_too(self, monkeypatch):
+        # the discrete degree sits on an integer to rounding on any mesh, so only a plaquette
+        # sum moved off it shows that the second result of a level is judged as well
+        kernel = chirality._plaquette_sum
+        monkeypatch.setattr(chirality, "_plaquette_sum",
+                            lambda *args: kernel(*args) + 0.4 * math.pi)
+        with pytest.raises(NotConverged) as excinfo:
+            cross_validate(GapParams(1.0, 1.0, +1), n_grid_start=chirality.MAX_GRID)
+        result = excinfo.value.result
+        assert (result.method, result.grid_size) == ("plaquette", chirality.MAX_GRID)
+        assert abs(result.residual - 0.1) < 1e-9
+
 
 _trapezoid = getattr(np, "trapezoid", None) or getattr(np, "trapz")
 
@@ -320,6 +332,7 @@ def six_gradient_quadrature_raw(params, k_max, n_grid):
     return -(total + cap.sum()) / (4.0 * math.pi)
 
 
+LEVEL_KERNELS = ["_mesh", "_lines", "_cap_closure", "_quadrature_sum", "_plaquette_sum"]
 SYMMETRY_PARAMS = [
     GapParams(1.0, 1.0, +1), GapParams(0.3, 40.0, -1), GapParams(2.0, -3.0, +1),
     GapParams(0.05, -0.5, -1),
@@ -346,16 +359,32 @@ class TestMirrorSymmetry:
                 assert np.array_equal(g, w)
 
     def test_cap_closure_once_per_level(self, monkeypatch):
-        # the cap closure and the mesh lines are shared by both estimators of a level
+        # every level builds its mesh, lines and cap closure once, shared by its estimators, and
+        # runs the quadrature first: a failed quadrature level runs no plaquette
         calls = []
-        for name in ("_cap_closure", "_lines"):
+        for name in LEVEL_KERNELS:
             kernel = getattr(chirality, name)
             monkeypatch.setattr(chirality, name, lambda *args, name=name, kernel=kernel:
                                 calls.append(name) or kernel(*args))
-        # 128^2 does not converge at mu = 40 (test_cross_validate_converges), 256^2 does
-        report = cross_validate(GapParams(0.3, 40.0, +1))
-        assert report.plaquette.grid_size == 256
-        assert sorted(calls) == ["_cap_closure"] * 2 + ["_lines"] * 2
+        chern = GapParams(1.0, 1.0, +1)  # configs/chern.cfg
+        runs = [
+            # (mesh, lines, cap closure), quadrature sums, plaquette sums
+            (lambda: cross_validate(chern), 1, 1, 1),
+            # 128^2 does not converge at mu = 40 (test_cross_validate_converges), 256^2 does
+            (lambda: cross_validate(GapParams(0.3, 40.0, +1)), 2, 2, 1),
+            # the quadrature is unresolved at every level (TestResolutionGuard)
+            (lambda: cross_validate(TestResolutionGuard.NARROW, k_max=80.0), 4, 4, 0),
+            (lambda: chern_quadrature(chern, default_k_max(chern), 256), 1, 1, 0),
+            (lambda: chern_plaquette(chern, default_k_max(chern), 256), 1, 0, 1),
+        ]
+        for run, levels, quadratures, plaquettes in runs:
+            calls.clear()
+            try:
+                run()
+            except NotConverged:  # the narrow input alone fails, at its last level
+                assert levels == 4
+            assert [calls.count(name) for name in LEVEL_KERNELS] == [
+                levels, levels, levels, quadratures, plaquettes]
 
 
 class TestSwapSymmetry:

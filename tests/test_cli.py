@@ -406,7 +406,7 @@ class TestConfigParsing:
         def broken(config):
             raise RuntimeError("not an input error")
 
-        monkeypatch.setitem(cli._RUNNERS, "device", broken)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "device", (broken, cli._SUBCOMMANDS["device"][1]))
         with pytest.raises(RuntimeError, match="not an input error"):
             main(["device"])
 
@@ -642,7 +642,7 @@ _JUNK_LINE = st.sampled_from(["bogus_key = 1", "just words", "= 1", "# comment",
 def _config_lines(subcommand: str):
     """Distinct keys of the subcommand with fuzzed values, then at most one junk line; a chain
     config always names a script (test_missing_script_is_config_error covers none)."""
-    pair = st.sampled_from(sorted(cli._SCHEMAS[subcommand])).flatmap(
+    pair = st.sampled_from(sorted(cli._SUBCOMMANDS[subcommand][1])).flatmap(
         lambda key: st.tuples(st.just(key), _VALUES.get(key, _PHYSICS)))
     first = {"script_path": _VALUES["script_path"]} if subcommand == "chain" else {}
     return st.tuples(st.fixed_dictionaries(first),
@@ -654,7 +654,7 @@ def _config_lines(subcommand: str):
 
 
 class TestConfigFuzz:
-    @pytest.mark.parametrize("subcommand", sorted(cli._SCHEMAS))
+    @pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_every_config_exits_cleanly(self, subcommand, data):

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from chiralqubit import dynamics, register
-from chiralqubit.dynamics import QubitState, StepTooLarge, TwoLevelParams
+from chiralqubit.dynamics import (
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    QubitState,
+    StepTooLarge,
+    TwoLevelParams,
+)
 from chiralqubit.register import (
-    IDENTITY_2,
     NAMED_GATES,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     SYMMETRIC,
     CouplingLink,
     FieldProfile,
@@ -135,7 +139,7 @@ class TestSingleGates:
         assert np.array_equal(out.amps, state.amps)
 
     def test_bit_flip(self):
-        out = apply_single_gate(RegisterState.product([+1]), 0, PAULI_X)
+        out = apply_single_gate(RegisterState.product([+1]), 0, SIGMA_X)
         assert out.probabilities()[0] == 1.0
 
     def test_symmetric_combination_gate(self):
@@ -149,21 +153,21 @@ class TestSingleGates:
 
     def test_rejects_bad_index(self):
         with pytest.raises(IndexOutOfRange):
-            apply_single_gate(RegisterState.all_minus(2), 2, PAULI_X)
+            apply_single_gate(RegisterState.all_minus(2), 2, SIGMA_X)
 
     def test_rejects_non_2x2(self):
         with pytest.raises(NotUnitary, match=r"gate must be 2x2, got shape \(3, 3\)"):
             apply_single_gate(RegisterState.all_minus(2), 0, np.eye(3))
 
     def test_pauli_algebra(self):
-        assert np.abs(PAULI_X @ PAULI_Y - 1j * PAULI_Z).max() == 0.0
-        assert np.abs(PAULI_Z @ PAULI_Z - np.eye(2)).max() == 0.0
+        assert np.abs(SIGMA_X @ SIGMA_Y - 1j * SIGMA_Z).max() == 0.0
+        assert np.abs(SIGMA_Z @ SIGMA_Z - np.eye(2)).max() == 0.0
 
 
 class TestExchangePulse:
     def test_matches_matrix_exponential_oracle(self):
         sigma_dot_sigma = (
-            np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y) + np.kron(PAULI_Z, PAULI_Z)
+            np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
         )
         for theta in (0.0, 0.3, math.pi / 2.0, math.pi, 2.2):
             oracle = expm(-0.25j * theta * sigma_dot_sigma)
@@ -182,7 +186,7 @@ class TestExchangePulse:
     def test_half_pulse_entangles(self):
         out = exchange_pulse(RegisterState.product([+1, -1]), LINK01, math.pi / 2.0)
         sigma_dot_sigma = (
-            np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y) + np.kron(PAULI_Z, PAULI_Z)
+            np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
         )
         start = np.zeros(4, dtype=complex)
         start[2] = 1.0
@@ -316,16 +320,16 @@ KERNEL_TOL = 1e-12
 
 def dense(n, factors):
     """Kronecker product over the register of {qubit: 2x2}, identity elsewhere."""
-    return functools.reduce(np.kron, [factors.get(q, IDENTITY_2) for q in range(n)])
+    return functools.reduce(np.kron, [factors.get(q, IDENTITY) for q in range(n)])
 
 
 def dense_exchange(n, i, j, theta):
-    sigma_dot_sigma = sum(dense(n, {i: p, j: p}) for p in (PAULI_X, PAULI_Y, PAULI_Z))
+    sigma_dot_sigma = sum(dense(n, {i: p, j: p}) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
     return expm(-0.25j * theta * sigma_dot_sigma)
 
 
 def dense_cnot(n, control, target):
-    return dense(n, {control: P_MINUS}) + dense(n, {control: P_PLUS, target: PAULI_X})
+    return dense(n, {control: P_MINUS}) + dense(n, {control: P_PLUS, target: SIGMA_X})
 
 
 def collapsed(n, q, projector, amps):
@@ -397,7 +401,7 @@ class TestKernelAgainstDense:
             assert np.abs(out.amps - collapsed(state.n, q, keep, state.amps)).max() < KERNEL_TOL
             # no weight on the requested value: the other component moves into its slot
             other = RegisterState(state.n, collapsed(state.n, q, drop, state.amps))
-            flipped = dense(state.n, {q: PAULI_X}) @ other.amps
+            flipped = dense(state.n, {q: SIGMA_X}) @ other.amps
             out = initialize_reset(other, q, value)
             assert np.abs(out.amps - flipped).max() < KERNEL_TOL
 
@@ -440,9 +444,9 @@ class TestSelectiveRf:
         for bias in eps:
             u = np.eye(2, dtype=complex)
             for k in range(steps):  # later steps on the left
-                h = bias * PAULI_Z + amp * math.cos(omega * (k + 0.5) * dt) * PAULI_X
+                h = bias * SIGMA_Z + amp * math.cos(omega * (k + 0.5) * dt) * SIGMA_X
                 u = expm(-1j * dt * h) @ u
-            factors.append(expm(1j * bias * duration * PAULI_Z) @ u)
+            factors.append(expm(1j * bias * duration * SIGMA_Z) @ u)
         want = functools.reduce(np.kron, factors) @ state.amps
         out = selective_rf_pulse(state, FieldProfile(eps), target, amp, duration, dt)
         assert np.abs(out.amps - want).max() < 1e-10
