@@ -1,7 +1,7 @@
 """Same-bytes digest: a sha256 of every output the benchmark inputs and the shipped configs give.
 
     python bench/digest.py [--seeds 1 2 3 9001] [--limit N] [--src DIR] [--against TREE]
-                           [--expect NAME ...] [--env VAR=VALUE ...]
+                           [--expect NAME ...]
 
 It imports the package from the src/ directory next to it (or from --src DIR) and the scenario
 lists from perfbench/workloads.py, read-only.  The inputs are configs/*.cfg, then every scenario
@@ -16,9 +16,8 @@ written).  --limit N keeps the first N inputs.
 every invocation whose line differs, and exits 1 if any does.  --expect NAME, which may be given
 more than once, lets the invocations of input NAME differ: they are printed as expected, only
 the other differences fail, and an expected name none of whose invocations differed is
-reported.  --env VAR=VALUE, which may be given more than once, runs this tree in a subprocess
-too, and every subprocess with VAR set to VALUE: a check of the bytes under another SIMD level
-or BLAS kernel.
+reported; a NAME that is not an input is a usage error.  The subprocess inherits the
+environment, so VAR=VALUE python bench/digest.py --against TREE runs both trees with VAR set.
 """
 
 from __future__ import annotations
@@ -89,33 +88,6 @@ def run(cli, cases) -> list[dict]:
     return lines
 
 
-def _lines_of(src: Path, args, env: dict[str, str]) -> list[dict]:
-    """The digest lines of the tree src, from a subprocess with env added to its environment."""
-    command = [sys.executable, __file__, "--src", str(src), "--seeds", *map(str, args.seeds)]
-    command += [] if args.limit is None else ["--limit", str(args.limit)]
-    proc = subprocess.run(command, capture_output=True, text=True, check=False,
-                          env={**os.environ, **env})
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(2)
-    return [json.loads(text) for text in proc.stdout.splitlines()]
-
-
-def _lines_here(src: Path, cases) -> list[dict]:
-    """The digest lines of the tree src, run in this process."""
-    sys.path.insert(0, str(src.resolve()))
-    from chiralqubit import cli
-
-    with tempfile.TemporaryDirectory() as work:
-        shutil.copytree(ROOT / "configs", Path(work, "configs"))  # gate scripts named in configs
-        here = os.getcwd()
-        os.chdir(work)
-        try:
-            return run(cli, cases)
-        finally:
-            os.chdir(here)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 9001])
@@ -124,25 +96,36 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="a tree whose src/ to compare with")
     parser.add_argument("--expect", action="append", default=[], metavar="NAME",
                         help="an input whose invocations may differ (with --against)")
-    parser.add_argument("--env", action="append", default=[], metavar="VAR=VALUE",
-                        help="run each tree in a subprocess with VAR set to VALUE")
     args = parser.parse_args(argv)
     if args.expect and args.against is None:
         parser.error("--expect needs --against")
-    env = {}
-    for pair in args.env:
-        var, sep, value = pair.partition("=")
-        if not (var and sep):
-            parser.error(f"--env wants VAR=VALUE, got {pair!r}")
-        env[var] = value
     cases = inputs(args.seeds)[:args.limit]
-    lines = _lines_of(args.src, args, env) if env else _lines_here(args.src, cases)
+    unknown = sorted(set(args.expect) - {name for name, *_ in cases})
+    if unknown:
+        parser.error(f"--expect names no input: {', '.join(unknown)}")
+    sys.path.insert(0, str(args.src.resolve()))
+    from chiralqubit import cli
+
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(ROOT / "configs", Path(work, "configs"))  # gate scripts named in configs
+        here = os.getcwd()
+        os.chdir(work)
+        try:
+            lines = run(cli, cases)
+        finally:
+            os.chdir(here)
     if args.against is None:
         for line in lines:
             print(json.dumps(line))
         return 0
 
-    theirs = _lines_of(args.against / "src", args, env)
+    command = [sys.executable, __file__, "--src", str(args.against / "src"), "--seeds",
+               *map(str, args.seeds)] + ([] if args.limit is None else ["--limit", str(args.limit)])
+    proc = subprocess.run(command, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return 2
+    theirs = [json.loads(text) for text in proc.stdout.splitlines()]
     differ = [a for a, b in zip(lines, theirs) if a != b]
     for line in differ:
         expected = " as expected" if line["name"] in args.expect else ""

@@ -9,11 +9,11 @@ quadrature (chirality._block_rows(m, m) rows of the quadrant's m = n // 2
 nodes per side, the widest block the estimators request), the three level
 kernels chirality._cap_closure, chirality._quadrature_sum and
 chirality._plaquette_sum on a mesh (and, for the plaquette, mesh lines) built
-outside the timed call, chirality.chern_quadrature, chirality.chern_plaquette (each
-one grid level through chirality._level, which also checks the inputs and builds the mesh,
-lines and cap closure), and chirality.cross_validate from n_grid_start = n, one _level call
-per grid it tries, escalating as the CLI does (at 32^2 it goes on to 64^2), all at the point of configs/chern.cfg (delta 1,
-mu 1, chi +1, k_max 8).
+outside the timed call, chirality.chern_quadrature and chirality.chern_plaquette
+(each one grid level through chirality._level, which also checks the inputs and builds the
+mesh, lines and cap closure), and chirality.cross_validate from n_grid_start = n, one _level
+call per grid it tries, escalating as the CLI does (at 32^2 it goes on to 64^2), all at the
+point of configs/chern.cfg (delta 1, mu 1, chi +1, k_max 8).
 At every register size n it times, on one fixed random n-qubit state and
 around the middle qubit q = n // 2: register.apply_single_gate (H on q),
 register.exchange_pulse (half pulse on the link q-1, q),

@@ -27,9 +27,7 @@ residual reflects numerical noise only.  A too-coarse mesh gives a silently
 wrong integer, so cross_validate insists the methods agree, and a quadrature
 level fails (NotConverged) when neighbouring nodes of its k_x line at k_y =
 x[n // 2] are 90 degrees or more apart (dot <= 0): its nodes miss that turn.
-_level alone evaluates a grid level, for each estimator and for cross_validate:
-it builds the mesh, lines and cap closure once and judges each result, the
-quadrature's first, before the next sum runs.
+_level evaluates every grid level.
 
 Layout: the texture is mirror symmetric in each axis.  Under k_x -> -k_x only
 m_x changes sign, a reflection of the sphere, while the orientation of the

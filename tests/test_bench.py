@@ -1,6 +1,6 @@
 """Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, and
-the byte digest tells a tree from itself and from a one-character change, lets the inputs named
-with --expect differ and sets the variables of --env in both trees' runs."""
+the byte digest tells a tree from itself and from a one-character change and lets the inputs
+named with --expect differ."""
 
 import json
 import shutil
@@ -112,19 +112,13 @@ def test_digest_lines(tmp_path):
     assert lines[0]["file"] == lines[1]["stdout"] and lines[1]["file"] is None
 
 
-def _copy_with_beat_header(tmp_path, header: str) -> Path:
-    """A copy of src/ under tmp_path/tree whose beat header is the Python expression header."""
+def test_digest_expect(tmp_path):
     tree = tmp_path / "tree"
     shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tree / "src" / "chiralqubit" / "cli.py"
     text = cli.read_text(encoding="utf-8")
-    assert text.count('"t,p_diff,pop_plus,pop_minus"') == 1
-    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', header), encoding="utf-8")
-    return tree
-
-
-def test_digest_expect(tmp_path):
-    tree = _copy_with_beat_header(tmp_path, '"t,p_diff,pop_plus,pop_minuS"')
+    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', '"t,p_diff,pop_plus,pop_minuS"'),
+                   encoding="utf-8")
     command = [sys.executable, str(DIGEST), "--limit", "3", "--against", str(tree),
                "--expect", "configs/beat.cfg", "--expect", "configs/chain.cfg"]
     # the expected difference passes, and the expected name that did not differ is reported
@@ -143,18 +137,9 @@ def test_digest_expect(tmp_path):
         "differs: configs/beat.cfg (out)", "differs: configs/beat.cfg (stdout)",
         "expected to differ, but the same: configs/chain.cfg",
         "4 of 6 invocations the same"]
-
-
-def test_digest_env_reaches_both_trees(tmp_path):
-    # the copy's beat header reads DIGEST_PROBE; it differs from this tree's only when the
-    # variable reaches the copy, whichever side of the comparison the copy is on
-    tree = _copy_with_beat_header(
-        tmp_path, 'os.environ.get("DIGEST_PROBE", "t") + ",p_diff,pop_plus,pop_minus"')
-    for sides in (["--against", str(tree)], ["--src", str(tree / "src"), "--against", str(ROOT)]):
-        for value, code in (("t", 0), ("x", 1)):
-            command = [sys.executable, str(DIGEST), "--limit", "3", *sides,
-                       "--env", f"DIGEST_PROBE={value}"]
-            proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True,
-                                  timeout=300)
-            assert proc.returncode == code, proc.stderr
-            assert proc.stdout.splitlines()[-1] == f"{6 - 2 * code} of 6 invocations the same"
+    # a name that is no input, misspelt or dropped by --limit, is a usage error
+    for name in ("configs/beat.cgf", "configs/chern.cfg"):
+        proc = subprocess.run(command[:-4] + ["--expect", name], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+        assert f"--expect names no input: {name}" in proc.stderr
