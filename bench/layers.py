@@ -18,14 +18,17 @@ At every register size n it times, on one fixed random n-qubit state and
 around the middle qubit q = n // 2: register.apply_single_gate (H on q),
 register.exchange_pulse (half pulse on the link q-1, q),
 register.cnot_composed (control q-1, target q), register.measure (of q, one
-persistent generator) and register.selective_rf_pulse (a pi pulse of amp
-0.05 on q at dt 0.01, biases 0.5 * (k + 1)), and cli.run_chain on the RF chain
-of the evolve benchmark at n qubits (n RESETs, H on q and on q + 1 mod n, an RF
-pulse of amp 0.035 and duration 9.9 on q, the two H again and a MEASURE of q;
-one shot at field step 0.25 and dt 0.025, so 396 RF steps).  At two fixed shapes it
-times dynamics._propagator: a scalar call (one closed step at delta 0.5, dt 0.005)
-and the (12, 400) step grid of a 12-qubit RF pulse (biases 0.25 * (k + 1), drive
-amp 0.035, dt 0.025), the phase-free e0 = 0 path both take.  At every step count n it times
+persistent generator), register.selective_rf_pulse (a pi pulse of amp
+0.05 on q at dt 0.01, biases 0.5 * (k + 1)) and register.initialize_reset of q
+on the all-|-1> basis state, to -1 (a no-op) and to +1 (a flip), and
+cli.run_chain on the RF chain of the evolve benchmark at n qubits (n RESETs, H
+on q and on q + 1 mod n, an RF pulse of amp 0.035 and duration 9.9 on q, the
+two H again and a MEASURE of q; one shot at field step 0.25 and dt 0.025, so
+396 RF steps).  At two fixed shapes it times dynamics._propagator: a scalar
+call (one closed step at delta 0.5, dt 0.005) and the (12, 400) step grid of a
+12-qubit RF pulse (biases 0.25 * (k + 1), drive amp 0.035, dt 0.025), the
+phase-free e0 = 0 path both take; and dynamics._total_product on the (12, 396)
+step stack of the same pulse, as long as the RF chain's.  At every step count n it times
 dynamics.drive_evolve (from |-1>) and dynamics.drive_propagator over n steps
 of dt 0.005 of the resonant drive of configs/rabi.cfg (epsilon 1, amp 0.05,
 omega 2), dynamics.evolve_closed composed n times over one step of dt 0.005
@@ -100,6 +103,7 @@ from chiralqubit.dynamics import (  # noqa: E402
     QubitState,
     TwoLevelParams,
     _propagator,
+    _total_product,
     drive_evolve,
     drive_propagator,
     evolve_closed,
@@ -116,6 +120,7 @@ from chiralqubit.register import (  # noqa: E402
     apply_single_gate,
     cnot_composed,
     exchange_pulse,
+    initialize_reset,
     measure,
     selective_rf_pulse,
 )
@@ -164,11 +169,13 @@ def rf_chain_text(n: int) -> str:
 
 
 def register_kernels(n: int, tmp: str) -> dict:
-    """Zero-argument calls of the register kernels on an n-qubit state (n >= 2), and of the
-    chain subcommand on the n-qubit RF chain, its script written to the directory tmp."""
+    """Zero-argument calls of the register kernels on an n-qubit state (n >= 2), of the reset on
+    an n-qubit basis state, and of the chain subcommand on the n-qubit RF chain, its script
+    written to the directory tmp."""
     rng = np.random.default_rng(0)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     state = RegisterState(n, amps / np.linalg.norm(amps))
+    basis = RegisterState.all_minus(n)
     q = n // 2
     link = CouplingLink(q - 1, q)
     profile = FieldProfile(tuple(FIELD_STEP * (k + 1) for k in range(n)))
@@ -184,19 +191,33 @@ def register_kernels(n: int, tmp: str) -> dict:
         "register.measure": lambda: measure(state, q, draws),
         "register.selective_rf_pulse": lambda: selective_rf_pulse(
             state, profile, q, RF_AMP, math.pi / RF_AMP, RF_DT),
+        "register.initialize_reset.noop": lambda: initialize_reset(basis, q, -1),
+        "register.initialize_reset.flip": lambda: initialize_reset(basis, q, +1),
         "cli.run_chain.rf": lambda: collections.deque(run_chain(chain), maxlen=0),
     }
+
+
+def _rf_grid(biases: int, steps: int) -> tuple:
+    """The drive x of each step and the bias of each qubit of an RF pulse on the chain."""
+    mid = (np.arange(steps) + 0.5) * RF_CHAIN_DT
+    eps = RF_CHAIN_STEP * (np.arange(biases) + 1.0)
+    return RF_CHAIN_AMP * np.cos(2.0 * RF_CHAIN_STEP * mid), eps
 
 
 def propagator_kernels(shape: tuple) -> dict:
     """A zero-argument call of dynamics._propagator at the output shape (before (2, 2))."""
     if shape == ():
         return {"dynamics._propagator": lambda: _propagator(0.0, -CLOSED.delta, 0.0, DRIVE_DT)}
-    biases, steps = shape
-    mid = (np.arange(steps) + 0.5) * RF_CHAIN_DT
-    x = RF_CHAIN_AMP * np.cos(2.0 * RF_CHAIN_STEP * mid)
-    eps = RF_CHAIN_STEP * (np.arange(biases) + 1.0)
+    x, eps = _rf_grid(*shape)
     return {"dynamics._propagator": lambda: _propagator(0.0, x, eps[:, None], RF_CHAIN_DT)}
+
+
+def product_kernels(shape: tuple) -> dict:
+    """A zero-argument call of dynamics._total_product on the (biases, steps) step stack of an RF
+    pulse, built outside the timed call."""
+    x, eps = _rf_grid(*shape)
+    stack = _propagator(0.0, x, eps[:, None], RF_CHAIN_DT)
+    return {"dynamics._total_product": lambda: _total_product(stack)}
 
 
 def _closed_steps(n: int) -> QubitState:
@@ -341,6 +362,7 @@ def main(argv=None) -> int:
         tables = (("n_grid", args.sizes, grid_kernels, True),
                   ("n_qubits", args.qubits, lambda n: register_kernels(n, tmp), False),
                   ("shape", [(), (MAX_QUBITS, 400)], propagator_kernels, False),
+                  ("shape", [(MAX_QUBITS, 396)], product_kernels, False),
                   ("n_steps", args.steps, step_kernels, False),
                   ("table", [(EMIT_LINES, 5), (1001, 4)], writer_kernels, False),
                   ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True))

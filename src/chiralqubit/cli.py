@@ -2,11 +2,13 @@
 
 Subcommands: chern, beat, damp, rabi, chain, device.  Each takes
 ``--config <path>`` (flat ``key = value`` lines, ``#`` comments), an optional
-``--out <path>`` for the output file (stdout otherwise, written atomically
-when a path is given), and ``--seed <u64>`` which overrides the config seed
-where randomness is involved.  Unknown or malformed config keys are hard
-errors, and so are usage errors (an unknown option or subcommand, a
-non-integer --seed).  Fixed exit codes:
+``--out <path>`` for the output file (stdout otherwise), and ``--seed <u64>``
+which overrides the config seed where randomness is involved.  Unknown or
+malformed config keys are hard errors, and so are usage errors (an unknown
+option or subcommand, a non-integer --seed).  The --out file is replaced
+atomically: a reader sees the old file or the whole new one, and a failed run
+leaves it as it was.  It gets mode 0o666 less the umask, as open() gives a new
+file, whether or not it existed before.  Fixed exit codes:
 
     0  success                         4  StepTooLarge
     1  config or usage error           5  gate-script parse error
@@ -35,7 +37,6 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -141,21 +142,37 @@ def _text(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _emit(text: Iterable[str], out_path: str | None) -> None:
-    """Write the pieces of text to stdout, or atomically to out_path."""
+    """Write the pieces of text to stdout, or atomically to out_path.
+
+    The file is written under a fresh name beside out_path, created here alone (O_EXCL) with
+    mode 0o666 less the umask, as open() would give, and then renamed over out_path.
+    """
     if out_path is None:
         sys.stdout.writelines(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    tmp = None
+    tmp = fd = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(text)
+        while tmp is None:
+            name = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+                tmp = name
+            except FileExistsError:  # not ours: draw another name
+                pass
+        for piece in text:
+            data = memoryview(piece.encode("utf-8"))
+            while data:  # os.write may take less than it is given
+                data = data[os.write(fd, data):]
+        closing, fd = fd, None
+        os.close(closing)
         os.replace(tmp, out_path)
         tmp = None
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, out_path) from None
     finally:
+        if fd is not None:
+            os.close(fd)
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 

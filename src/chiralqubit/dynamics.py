@@ -29,10 +29,13 @@ IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+for _matrix in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):  # shared by every caller: read-only
+    _matrix.setflags(write=False)
 
 STEP_SAFETY_LIMIT = 0.1
 MAX_STEPS = 10**6  # cap on the steps (or samples) of one trajectory
 STEP_BLOCK = 2**15  # steps built at once by a driven propagator; bounds its memory
+_FEW_PAIRS = 256  # pairs of a product level that _total_product multiplies in one broadcast
 
 
 class StepTooLarge(ValueError):
@@ -124,15 +127,15 @@ class DensityMatrix:
 
 def _propagator(e0, x, z, t) -> np.ndarray:
     """exp(-i t (e0*I + x*sigma_x + z*sigma_z)), exact; broadcasts to shape (..., 2, 2)."""
-    e0, x, z, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (e0, x, z, t)))
-    omega = np.hypot(x, z)
+    e0, x, z, t = (np.asarray(v, dtype=float) for v in (e0, x, z, t))
+    omega = np.hypot(x, z)  # each value is formed on the shape its inputs broadcast to
     # divide the reals before forming the matrix: stable down to subnormal omega,
     # and omega = 0 gives the identity without a branch
     safe = np.where(omega == 0.0, 1.0, omega)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN entries
         angle = omega * t
         cos, sin = np.cos(angle), np.sin(angle)
-    u = np.zeros(omega.shape + (2, 2), dtype=complex)
+    u = np.zeros(np.broadcast_shapes(e0.shape, angle.shape) + (2, 2), dtype=complex)
     re, im = u.real, u.imag  # the parts are written in place: no complex temporaries
     re[..., 0, 0] = re[..., 1, 1] = cos
     im[..., 0, 0] = sin * (z / safe)
@@ -298,9 +301,18 @@ def _running_products(steps: np.ndarray) -> np.ndarray:
 
 
 def _total_product(steps: np.ndarray) -> np.ndarray:
-    """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] (n >= 1) by pairwise halving."""
+    """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] (n >= 1) by pairwise halving.
+
+    A level of at most _FEW_PAIRS pairs takes one broadcast product: the same two products
+    and sum per entry as _mul, in fewer numpy calls, which pays only while calls cost more
+    than the arithmetic.
+    """
     while steps.shape[-3] > 1:
-        pairs = _mul(steps[..., 1::2, :, :], steps[..., 0:-1:2, :, :])  # later steps on the left
+        a, b = steps[..., 1::2, :, :], steps[..., 0:-1:2, :, :]  # later steps on the left
+        if a.size > 4 * _FEW_PAIRS:
+            pairs = _mul(a, b)
+        else:
+            pairs = a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
         if steps.shape[-3] % 2:  # the odd last step joins the next level as it is
             pairs = np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
         steps = pairs

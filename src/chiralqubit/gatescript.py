@@ -101,6 +101,8 @@ _SYNTAX = {
 }
 OPS = tuple(_SYNTAX)
 _NAME_CHECKS = (_parse_gate, _parse_switch)  # run before the index checks of their line
+_ORDER = {op: sorted(range(len(parsers)), key=lambda i: parsers[i][0] not in _NAME_CHECKS)
+          for op, (_, parsers) in _SYNTAX.items()}  # op -> its arguments in parse order
 
 
 def parse_script(text: str) -> list[Instruction]:
@@ -118,7 +120,7 @@ def parse_script(text: str) -> list[Instruction]:
         if len(tokens) - 1 != len(parsers):
             raise ScriptError(line_no, f"{op} takes: {names}")
         args = [None] * len(parsers)
-        for i in sorted(range(len(parsers)), key=lambda i: parsers[i][0] not in _NAME_CHECKS):
+        for i in _ORDER[op]:
             parse, what = parsers[i]
             args[i] = parse(tokens[i + 1], line_no, what)
         instructions.append(Instruction(line_no, op, tuple(args), line))

@@ -4,7 +4,8 @@ Register amplitudes live on the product chirality basis with qubit 0 as the
 leftmost tensor factor; every gate, pulse and projection sees that layout
 only through `_block`.  Per qubit, bit 0 means |-1> and bit 1 means |+1>.
 RegisterState values are immutable snapshots and every operation returns a
-fresh state, so concurrent read-only sharing is safe.
+fresh state, so concurrent read-only sharing is safe; a reset or projection
+onto the value a qubit already holds exactly returns that same state.
 
 Neighboring qubits couple through switchable weak links modeled as an
 isotropic exchange interaction: a pulse of area theta applies
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ UNITARITY_TOL = 1e-10
 
 # symmetric-combination gate: |+1> -> (|-1> + |+1>)/sqrt(2)
 SYMMETRIC = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
+SYMMETRIC.setflags(write=False)
 
 SWAP_4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -92,11 +94,13 @@ class FieldProfile:
 class RegisterState:
     n: int
     amps: np.ndarray
+    # the kernels hand over a complex array they have just built: it is frozen, not copied
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         if not (1 <= self.n <= MAX_QUBITS):
             raise ValueError(f"register size must be in [1, {MAX_QUBITS}], got {self.n}")
-        amps = np.array(self.amps, dtype=complex)
+        amps = self.amps if _owned else np.array(self.amps, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"amplitude vector must have length {2**self.n}")
         norm = math.sqrt(_weight(amps))
@@ -118,7 +122,7 @@ class RegisterState:
             index = (index << 1) | _bit(v)
         amps = np.zeros(2**n, dtype=complex)
         amps[index] = 1.0
-        return cls(n, amps)
+        return cls(n, amps, _owned=True)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -154,8 +158,27 @@ def _apply(amps: np.ndarray, lo: int, u: np.ndarray) -> np.ndarray:
     return out.swapaxes(0, 1).reshape(-1)
 
 
+def _apply_each(amps: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 factors[q] on every qubit q (their Kronecker product); flat result.
+
+    The state is kept as a (2, rest) matrix with the current qubit's bit first and the other
+    qubits after it in cyclic order, so each factor takes one product and one transposed copy
+    (row by row: numpy copies a (rest, 2) transpose two values at a time), which moves that
+    qubit's bit last and brings the next qubit's first.  np.dot sees the columns _apply would
+    give it, in cyclic order, and rounds each column alike wherever it stands: the bits are
+    the same.
+    """
+    amps = amps.reshape(2, -1)
+    for u in factors:
+        moved = np.empty((amps.shape[1], 2), complex)
+        moved[:, 0], moved[:, 1] = np.dot(u, amps)
+        amps = moved.reshape(2, -1)
+    return amps.reshape(-1)
+
+
 def _weight(branch: np.ndarray) -> float:
-    return float(np.vdot(branch, branch).real)
+    flat = branch.reshape(-1)  # as vdot flattens each operand (a view where it can): once
+    return float(np.vdot(flat, flat).real)
 
 
 def z_rotation(phi: float) -> np.ndarray:
@@ -163,15 +186,25 @@ def z_rotation(phi: float) -> np.ndarray:
     return dynamics._propagator(0.0, 0.0, 0.5 * phi, 1.0)
 
 
-def apply_single_gate(state: RegisterState, q: int, gate: np.ndarray) -> RegisterState:
-    """Apply a 2x2 unitary on qubit q's tensor factor."""
-    _check_index(state, q)
+def _unitary(gate) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise NotUnitary(f"gate must be 2x2, got shape {gate.shape}")
     if np.abs(gate.conj().T @ gate - dynamics.IDENTITY).max() > UNITARITY_TOL:
         raise NotUnitary("gate is not unitary within 1e-10")
-    return RegisterState(state.n, _apply(state.amps, q, gate))
+    return gate
+
+
+# the read-only named gates, checked once here; keyed by id, each kept alive so no id is reused
+_CHECKED_GATES = {id(gate): gate for gate in map(_unitary, NAMED_GATES.values())}
+
+
+def apply_single_gate(state: RegisterState, q: int, gate: np.ndarray) -> RegisterState:
+    """Apply a 2x2 unitary on qubit q's tensor factor."""
+    _check_index(state, q)
+    if _CHECKED_GATES.get(id(gate)) is not gate:
+        gate = _unitary(gate)
+    return RegisterState(state.n, _apply(state.amps, q, gate), _owned=True)
 
 
 def exchange_unitary(pulse_area: float) -> np.ndarray:
@@ -196,7 +229,7 @@ def exchange_pulse(state: RegisterState, link: CouplingLink, pulse_area: float) 
     _check_index(state, max(link.i, link.j))  # links join adjacent qubits >= 0
     # the pulse commutes with SWAP, so the link's orientation does not matter
     amps = _apply(state.amps, min(link.i, link.j), exchange_unitary(pulse_area))
-    return RegisterState(state.n, amps)
+    return RegisterState(state.n, amps, _owned=True)
 
 
 def cnot_composed(
@@ -218,7 +251,7 @@ def cnot_composed(
     if not link.on:
         raise LinkOff(f"link ({link.i}, {link.j}) is off")
     amps = _apply(state.amps, min(control, target), _cnot_matrix(control < target))
-    return RegisterState(state.n, amps)
+    return RegisterState(state.n, amps, _owned=True)
 
 
 @functools.cache
@@ -278,10 +311,7 @@ def selective_rf_pulse(
         ) from None
     # unwind each static bias over the pulse duration itself, not n_steps * dt
     rotating = dynamics._mul(dynamics._propagator(0.0, 0.0, -np.array(eps), duration), lab)
-    amps = state.amps
-    for q in range(state.n):
-        amps = _apply(amps, q, rotating[q])
-    return RegisterState(state.n, amps)
+    return RegisterState(state.n, _apply_each(state.amps, rotating), _owned=True)
 
 
 def _project(state: RegisterState, q: int, value: int, reset: bool = False) -> RegisterState:
@@ -289,17 +319,25 @@ def _project(state: RegisterState, q: int, value: int, reset: bool = False) -> R
 
     The other component is zeroed.  With `reset`, a `value` component of
     (numerically) zero weight is replaced by the other one, moved into its slot.
+    Where the component kept has weight exactly 1, keep / 1.0 == keep: it is
+    copied, not divided, and beside an exactly zero other component the state
+    itself is returned.
     """
     bit = _bit(value)
     psi = _block(state.amps, q)
-    keep = psi[:, bit]
+    keep, other = psi[:, bit], psi[:, 1 - bit]
     weight = _weight(keep)
+    if weight == 1.0 and not other.any():
+        return state
     if reset and not weight > 1e-24:
-        keep = psi[:, 1 - bit]
+        keep = other
         weight = _weight(keep)
-    out = np.zeros_like(psi)
-    out[:, bit] = keep / math.sqrt(weight)
-    return RegisterState(state.n, out.reshape(-1))
+    out = np.zeros(psi.shape, complex)
+    if weight == 1.0:
+        out[:, bit] = keep
+    else:
+        np.divide(keep, math.sqrt(weight), out=out[:, bit])
+    return RegisterState(state.n, out.reshape(-1), _owned=True)
 
 
 def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
@@ -307,7 +345,8 @@ def initialize_reset(state: RegisterState, q: int, value: int) -> RegisterState:
 
     Projects and renormalizes; when the projection has (numerically) zero
     weight the opposite component is moved into the requested slot instead,
-    so the reset always succeeds deterministically.
+    so the reset always succeeds deterministically.  A reset of a qubit that
+    already holds `value` exactly returns the same (immutable) state.
     """
     _check_index(state, q)
     return _project(state, q, value, reset=True)

@@ -1,6 +1,7 @@
-"""Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, and
-the byte digest tells a tree from itself and from a one-character change and lets the inputs
-named with --expect differ."""
+"""Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, the
+byte digest tells a tree from itself and from a one-character change and lets the inputs
+named with --expect differ, and the in-process A/B timer compares two trees on a few
+scenarios and names the outputs that differ."""
 
 import json
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
 DIGEST = ROOT / "bench" / "digest.py"
+AB = ROOT / "bench" / "ab.py"
 GRID_KERNELS = [
     "kspace.texture_field",
     "chirality._cap_closure",
@@ -26,9 +28,12 @@ REGISTER_KERNELS = [
     "register.cnot_composed",
     "register.measure",
     "register.selective_rf_pulse",
+    "register.initialize_reset.noop",
+    "register.initialize_reset.flip",
     "cli.run_chain.rf",
 ]
-PROPAGATOR_SHAPES = [(), (12, 400)]
+SHAPE_KERNELS = [("dynamics._propagator", ()), ("dynamics._propagator", (12, 400)),
+                 ("dynamics._total_product", (12, 396))]
 STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
                 "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
 WRITER_TABLES = [(4096, 5), (1001, 4)]
@@ -58,8 +63,7 @@ def test_layer_timer_runs(tmp_path):
     ] + [
         (kernel, None, n, None, None, None, None) for n in (2, 3) for kernel in REGISTER_KERNELS
     ] + [
-        ("dynamics._propagator", None, None, list(shape), None, None, None)
-        for shape in PROPAGATOR_SHAPES
+        (kernel, None, None, list(shape), None, None, None) for kernel, shape in SHAPE_KERNELS
     ] + [
         (kernel, None, None, None, n, None, None) for n in (1, 100) for kernel in STEP_KERNELS
     ] + [
@@ -143,3 +147,29 @@ def test_digest_expect(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2 and proc.stdout == "", proc.stdout
         assert f"--expect names no input: {name}" in proc.stderr
+
+
+def test_ab_times_two_trees_and_names_differing_outputs(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    # the first 3 evolve scenarios of seed 1: damp1e3, rabi1e3, rabi1e3
+    command = [sys.executable, str(AB), str(ROOT), str(tree), "--workload", "evolve",
+               "--seeds", "1", "--limit", "3", "--rounds", "1"]
+    same = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert same.returncode == 0, same.stderr
+    lines = same.stdout.splitlines()
+    assert lines[0].endswith("1 timed rounds")
+    assert lines[1].startswith("evolve A: wall ") and lines[2].startswith("evolve B: wall ")
+    assert all(" p50 " in line and line.endswith(" ms") for line in lines[1:3])
+    assert lines[3].startswith("evolve B/A per scenario: median ") and "over 3 scenarios" in lines[3]
+    assert [line.split()[0] for line in lines[4:]] == ["damp1e3", "rabi1e3"]
+    assert [line.split()[-1] for line in lines[4:]] == ["(1)", "(2)"]
+
+    cli = tree / "src" / "chiralqubit" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', '"t,p_diff,pop_plus,pop_minuS"'),
+                   encoding="utf-8")
+    changed = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert changed.returncode == 1, changed.stderr
+    assert [line for line in changed.stdout.splitlines() if "differs" in line] == [
+        "evolve differs: evolve001-rabi1e3", "evolve differs: evolve002-rabi1e3"]

@@ -6,13 +6,14 @@ Below them, the rewritten formulas are held bit for bit against their first form
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralqubit import cli, dynamics
+from chiralqubit import cli, dynamics, register
 from chiralqubit.cli import main
 from chiralqubit.register import MAX_QUBITS
 
@@ -121,3 +122,141 @@ def test_propagator_matches_the_first_assembly(shape, e0_zero, scale, t_is_array
     nonzero = want_parts != 0.0
     assert np.array_equal(got_parts[nonzero].view(np.uint64), want_parts[nonzero].view(np.uint64))
     assert not got_parts[~nonzero].any()
+
+
+# --- bit-exact references for the copy-free register and pulse kernels ----------------------
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def random_amps(n, rng):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_cyclic_rf_loop_matches_sequential_apply(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        amps = random_amps(n, rng)
+        factors = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        want = amps
+        for q in range(n):  # the loop as first written: one _apply per qubit
+            want = register._apply(want, q, factors[q])
+        got = register._apply_each(amps, factors)
+        assert got.shape == (2**n,) and got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+
+def halving_product(steps):
+    """dynamics._total_product as first written: _mul at every level."""
+    while steps.shape[-3] > 1:
+        pairs = dynamics._mul(steps[..., 1::2, :, :], steps[..., 0:-1:2, :, :])
+        if steps.shape[-3] % 2:
+            pairs = np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
+        steps = pairs
+    return steps[..., 0, :, :]
+
+
+@pytest.mark.parametrize("biases", [1, 2, 12])
+def test_size_chosen_total_product_matches_mul_halving(biases):
+    rng = np.random.default_rng(biases)
+    # 1..600 steps: both sides of the size choice at every bias count, odd lengths included
+    for length in range(1, 601):
+        shape = (biases, length, 2, 2)
+        steps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got, want = dynamics._total_product(steps), halving_product(steps)
+        assert got.shape == (biases, 2, 2)
+        assert np.array_equal(bits(got), bits(want)), length
+
+
+def test_total_product_keeps_mul_for_large_levels(monkeypatch):
+    calls = []
+    mul = dynamics._mul
+    monkeypatch.setattr(dynamics, "_mul", lambda a, b, out=None: calls.append(a.shape) or mul(a, b))
+    dynamics._total_product(np.broadcast_to(dynamics.IDENTITY, (12, 396, 2, 2)))
+    # the levels of 198, 99, 49 and 25 pairs per bias hold more than 256 pairs in all and take
+    # _mul; those of 12, 6, 3, 2 and 1 pairs take the broadcast product
+    assert calls == [(12, pairs, 2, 2) for pairs in (198, 99, 49, 25)]
+
+
+def divided_projection(state, q, value, reset=False):
+    """register._project as first written: zeros, then the kept branch over sqrt(weight)."""
+    bit = register._bit(value)
+    psi = state.amps.reshape(2**q, 2, -1)
+    keep = psi[:, bit]
+    weight = float(np.vdot(keep, keep).real)
+    if reset and not weight > 1e-24:
+        keep = psi[:, 1 - bit]
+        weight = float(np.vdot(keep, keep).real)
+    out = np.zeros_like(psi)
+    out[:, bit] = keep / math.sqrt(weight)
+    return out.reshape(-1)
+
+
+def same_amplitudes(got, want):
+    """Bit for bit, but for the sign of a zero part: x / 1.0 may flip it and keep never does."""
+    got_parts, want_parts = got.view(float), want.view(float)
+    nonzero = want_parts != 0.0
+    return (np.array_equal(bits(got_parts[nonzero]), bits(want_parts[nonzero]))
+            and not got_parts[~nonzero].any())
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_noop_reset_returns_the_same_amplitudes(n):
+    rng = np.random.default_rng(200 + n)
+    values = [int(v) for v in rng.choice([-1, 1], size=n)]
+    state = register.RegisterState.product(values)
+    for q, value in enumerate(values):
+        assert register.initialize_reset(state, q, value) is state  # the immutable state itself
+        assert register._project(state, q, value) is state
+        assert same_amplitudes(state.amps, divided_projection(state, q, value, reset=True))
+        # the flip moves a branch of weight exactly 1: copied, not divided, and the same values
+        flipped = register.initialize_reset(state, q, -value)
+        assert flipped is not state
+        assert same_amplitudes(flipped.amps, divided_projection(state, q, -value, reset=True))
+
+
+def test_projection_bits_away_from_the_noop():
+    rng = np.random.default_rng(7)
+    n, q = 5, 2
+    # a kept branch of weight exactly 1 beside a tiny, nonzero other branch is divided as
+    # before, and the other branch is zeroed
+    amps = np.zeros(2**n, complex)
+    amps[0b00100] = 1.0
+    amps[0b00000] = 1e-6
+    state = register.RegisterState(n, amps)
+    projected = register._project(state, q, +1)
+    assert projected is not state and projected.amps[0] == 0.0
+    assert np.array_equal(bits(projected.amps), bits(divided_projection(state, q, +1)))
+    # a basis state of norm just below 1: its kept weight is not exactly 1, so it is divided
+    amps = np.zeros(2**n, complex)
+    amps[0b00100] = np.sqrt(1.0 - 1e-13)
+    state = register.RegisterState(n, amps)
+    projected = register._project(state, q, +1)
+    assert projected.amps[0b00100] != state.amps[0b00100]
+    assert np.array_equal(bits(projected.amps), bits(divided_projection(state, q, +1)))
+    # random states: every qubit, both values, measured and reset
+    for _ in range(20):
+        state = register.RegisterState(n, random_amps(n, rng))
+        for q in range(n):
+            for value in (-1, 1):
+                for reset in (False, True):
+                    got = register._project(state, q, value, reset).amps
+                    want = divided_projection(state, q, value, reset)
+                    assert np.array_equal(bits(got), bits(want))
+
+
+def test_state_owns_a_copy_of_a_callers_array():
+    rng = np.random.default_rng(3)
+    amps = random_amps(4, rng)
+    kept = amps.copy()
+    state = register.RegisterState(4, amps)
+    amps[:] = 0.0
+    amps[0] = 1.0
+    assert np.array_equal(state.amps, kept)
+    assert not state.amps.flags.writeable
+    # a list, and a real array, are converted as before
+    assert register.RegisterState(1, [1.0, 0.0]).amps.dtype == complex
+    assert register.RegisterState(1, np.array([0.0, 1.0])).amps.dtype == complex

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -446,6 +448,40 @@ class TestOutputContract:
         assert main(["beat", "--out", str(tmp_path)]) == 1
         assert repr(str(tmp_path)) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_out_mode_follows_the_umask(self, tmp_path, umask):
+        config = write(tmp_path / "c.cfg", "delta = 0.5\nt_max = 1.0\ndt = 0.1\n")
+        new, replaced, plain = tmp_path / "new.csv", tmp_path / "replaced.csv", tmp_path / "plain"
+        replaced.write_text("previous run\n", encoding="utf-8")
+        replaced.chmod(0o644)
+        old = os.umask(umask)
+        try:
+            codes = [main(["beat", "--config", config, "--out", str(target)])
+                     for target in (new, replaced)]
+            plain.write_text("x", encoding="utf-8")  # the mode open() gives a new file
+        finally:
+            os.umask(old)
+        assert codes == [0, 0]
+        assert stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+        for target in (new, replaced):
+            assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask, target.name
+            assert target.read_text(encoding="utf-8").startswith("t,p_diff")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.cfg", "new.csv", "plain", "replaced.csv"]
+
+    def test_out_leaves_a_taken_temporary_name_alone(self, tmp_path, monkeypatch, capsys):
+        # the first two names drawn are taken: the file there is not opened, written or moved
+        draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(cli.os, "urandom", lambda size: next(draws))
+        taken = tmp_path / f".tmp-{bytes(6).hex()}"
+        taken.write_text("another writer's\n", encoding="utf-8")
+        assert main(["device", "--out", str(tmp_path / "out.csv")]) == 0
+        monkeypatch.undo()
+        assert taken.read_text(encoding="utf-8") == "another writer's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.csv"]
+        assert main(["device"]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == capsys.readouterr().out.encode()
 
     def test_row_writer_matches_per_value_repr(self):
         columns = (

@@ -163,6 +163,28 @@ class TestSingleGates:
         assert np.abs(SIGMA_X @ SIGMA_Y - 1j * SIGMA_Z).max() == 0.0
         assert np.abs(SIGMA_Z @ SIGMA_Z - np.eye(2)).max() == 0.0
 
+    def test_unitarity_checked_once_per_named_gate(self, monkeypatch):
+        checked = []
+        unitary = register._unitary
+        monkeypatch.setattr(register, "_unitary",
+                            lambda gate: checked.append(gate) or unitary(gate))
+        state = random_state(3, np.random.default_rng(8))
+        for name, gate in NAMED_GATES.items():
+            assert not gate.flags.writeable, name  # so the check made at import still holds
+            with pytest.raises(ValueError):
+                gate[0, 0] = 2.0
+            apply_single_gate(state, 1, gate)
+        assert checked == []
+        # an equal matrix that is not the named one is checked on every call, and so is a bad one
+        copy = NAMED_GATES["H"].copy()
+        for _ in range(3):
+            out = apply_single_gate(state, 1, copy)
+        assert len(checked) == 3
+        assert np.array_equal(out.amps, apply_single_gate(state, 1, NAMED_GATES["H"]).amps)
+        copy[1, 1] = 0.5
+        with pytest.raises(NotUnitary):
+            apply_single_gate(state, 1, copy)
+
 
 class TestExchangePulse:
     def test_matches_matrix_exponential_oracle(self):
