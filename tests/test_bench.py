@@ -1,13 +1,16 @@
 """Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, the
-byte digest tells a tree from itself and from a one-character change and lets the inputs
-named with --expect differ, and the in-process A/B timer compares two trees on a few
-scenarios and names the outputs that differ."""
+byte digest tells a tree from itself and from a one-character change, lets the inputs named
+with --expect differ and keeps two trees loaded in one process apart, the in-process A/B timer
+compares two trees on a few scenarios, and both tools turn a --limit below 1 and a tree that
+cannot be loaded into a usage error."""
 
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
@@ -38,6 +41,13 @@ STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.
                 "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
 WRITER_TABLES = [(4096, 5), (1001, 4)]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
+
+
+def copy_tree(tmp_path):
+    """A copy of this tree's src/ under tmp_path/tree."""
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
 
 
 def test_layer_timer_runs(tmp_path):
@@ -85,8 +95,7 @@ def test_layer_timer_runs(tmp_path):
 
 
 def test_digest_tells_a_one_character_change(tmp_path):
-    tree = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    tree = copy_tree(tmp_path)
     command = [sys.executable, str(DIGEST), "--limit", "3", "--against", str(tree)]
     # configs/beat.cfg, bell_chain.cfg and chain.cfg, each with --out and to stdout
     same = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
@@ -117,8 +126,7 @@ def test_digest_lines(tmp_path):
 
 
 def test_digest_expect(tmp_path):
-    tree = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    tree = copy_tree(tmp_path)
     cli = tree / "src" / "chiralqubit" / "cli.py"
     text = cli.read_text(encoding="utf-8")
     cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', '"t,p_diff,pop_plus,pop_minuS"'),
@@ -149,27 +157,61 @@ def test_digest_expect(tmp_path):
         assert f"--expect names no input: {name}" in proc.stderr
 
 
-def test_ab_times_two_trees_and_names_differing_outputs(tmp_path):
-    tree = tmp_path / "tree"
-    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    # the first 3 evolve scenarios of seed 1: damp1e3, rabi1e3, rabi1e3
+def test_digest_keeps_two_trees_apart(tmp_path):
+    # tree B's labels differ inside a functools.cache: a cache shared with this tree would hide it
+    tree = copy_tree(tmp_path)
+    cli = tree / "src" / "chiralqubit" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('["|" + ') == 1
+    cli.write_text(text.replace('["|" + ', '["[" + '), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(DIGEST), "--limit", "3", "--against", str(tree)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: configs/bell_chain.cfg (out)", "differs: configs/bell_chain.cfg (stdout)",
+        "differs: configs/chain.cfg (out)", "differs: configs/chain.cfg (stdout)",
+        "2 of 6 invocations the same"]
+
+
+def test_ab_times_two_trees(tmp_path):
+    tree = copy_tree(tmp_path)
+    # the first 3 evolve scenarios of seed 1, twice: damp1e3, rabi1e3, rabi1e3
     command = [sys.executable, str(AB), str(ROOT), str(tree), "--workload", "evolve",
-               "--seeds", "1", "--limit", "3", "--rounds", "1"]
-    same = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
-    assert same.returncode == 0, same.stderr
-    lines = same.stdout.splitlines()
+               "--seeds", "1", "1", "--limit", "3", "--rounds", "1"]
+    proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
     assert lines[0].endswith("1 timed rounds")
     assert lines[1].startswith("evolve A: wall ") and lines[2].startswith("evolve B: wall ")
     assert all(" p50 " in line and line.endswith(" ms") for line in lines[1:3])
-    assert lines[3].startswith("evolve B/A per scenario: median ") and "over 3 scenarios" in lines[3]
+    assert lines[3].startswith("evolve B/A per scenario: median ") and "over 6 scenarios" in lines[3]
     assert [line.split()[0] for line in lines[4:]] == ["damp1e3", "rabi1e3"]
-    assert [line.split()[-1] for line in lines[4:]] == ["(1)", "(2)"]
+    assert [line.split()[-1] for line in lines[4:]] == ["(2)", "(4)"]
 
-    cli = tree / "src" / "chiralqubit" / "cli.py"
-    text = cli.read_text(encoding="utf-8")
-    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus"', '"t,p_diff,pop_plus,pop_minuS"'),
-                   encoding="utf-8")
-    changed = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
-    assert changed.returncode == 1, changed.stderr
-    assert [line for line in changed.stdout.splitlines() if "differs" in line] == [
-        "evolve differs: evolve001-rabi1e3", "evolve differs: evolve002-rabi1e3"]
+
+@pytest.mark.parametrize("tool, args", [
+    (DIGEST, ["--limit", "0", "--against", "."]),
+    (DIGEST, ["--limit", "-3"]),
+    (AB, [".", ".", "--limit", "0"]),
+], ids=["digest-against-0", "digest--3", "ab-0"])
+def test_limit_below_one_is_a_usage_error(tmp_path, tool, args):
+    proc = subprocess.run([sys.executable, str(tool), *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert f"argument --limit: must be >= 1, got {args[1 + args.index('--limit')]}" in proc.stderr
+
+
+@pytest.mark.parametrize("break_tree", [
+    lambda tree: shutil.rmtree(tree / "src" / "chiralqubit"),
+    lambda tree: (tree / "src" / "chiralqubit" / "cli.py").write_text("1 / 0\n", encoding="utf-8"),
+], ids=["no-package", "import-raises"])
+def test_a_tree_that_cannot_be_loaded_is_a_usage_error(tmp_path, break_tree):
+    tree = copy_tree(tmp_path)
+    break_tree(tree)
+    for tool, args in ((DIGEST, ["--against", str(tree)]), (AB, [str(ROOT), str(tree)])):
+        proc = subprocess.run([sys.executable, str(tool), *args], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+        # one line, naming the tree, and no traceback
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot load {tree}: ")
