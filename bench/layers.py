@@ -48,14 +48,19 @@ over n shots of the 12-qubit script that puts every qubit through H and
 then measures them all (seed 1), the widest
 outcome tree the register allows, and cli.run_chain on the same script, read
 from a temporary file, with the chain defaults: the shot engine plus the
-chain's output lines.
+chain's output lines.  At last it times a command line's fixed cost: cli.main on
+"device --config configs/device.cfg --out FILE", the cheapest full call (argv parse, config
+read, sizing report, atomic write), and cli._parse_argv alone on the same argv.
 Each kernel runs once to warm up and once more to size a batch of
 back-to-back calls that lasts at least MIN_BATCH_S, so microsecond kernels
 are timed above the clock's noise; then --repeats batches run and the best
 time per call counts.  A kernel that raises NotConverged (the coarsest
 grids) is timed all the same and its outcome says so.  Each grid and shot
 kernel runs once more, untimed, under tracemalloc, and its row records that
-call's peak of traced allocations as peak_mb (numpy arrays included).
+call's peak of traced allocations as peak_mb (numpy arrays included).  Batched calls are warm:
+the file cache and the CPU's caches stay primed from one call to the next, so a row understates
+a cold path, most of all for the command line rows.  For
+figures measured call by call, in sequence with other work, use bench/ab.py.
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy,
 the BLAS numpy was built with, and the thread environment variables.
@@ -80,6 +85,7 @@ from time import perf_counter
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = SRC.parent / "configs"
 sys.path.insert(0, str(SRC))
 
 from chiralqubit.chirality import (  # noqa: E402
@@ -96,7 +102,15 @@ from chiralqubit.chirality import (  # noqa: E402
     cross_validate,
 )
 from chiralqubit._floatcsv import csv_block  # noqa: E402
-from chiralqubit.cli import EMIT_LINES, _coerce, _emit, _rows, run_chain  # noqa: E402
+from chiralqubit.cli import (  # noqa: E402
+    EMIT_LINES,
+    _coerce,
+    _emit,
+    _parse_argv,
+    _rows,
+    main as cli_main,
+    run_chain,
+)
 from chiralqubit.dynamics import (  # noqa: E402
     MAX_STEPS,
     DensityMatrix,
@@ -286,6 +300,16 @@ def shot_kernels(n: int, script_path: str) -> dict:
     }
 
 
+def call_kernels(subcommand: str, tmp: str) -> dict:
+    """Zero-argument calls of a full command line, the subcommand on its configs/ file with
+    --out to a file in the directory tmp, and of its argv parse alone."""
+    argv = [subcommand, "--config", str(CONFIGS / f"{subcommand}.cfg"), "--out",
+            str(Path(tmp, "call.out"))]
+    if cli_main(argv) != 0:
+        raise SystemExit(f"error: the command line {' '.join(argv)} failed")
+    return {"cli.main": lambda: cli_main(argv), "cli._parse_argv": lambda: _parse_argv(argv)}
+
+
 def _outcome(call) -> str:
     try:
         result = call()
@@ -365,7 +389,8 @@ def main(argv=None) -> int:
                   ("shape", [(MAX_QUBITS, 396)], product_kernels, False),
                   ("n_steps", args.steps, step_kernels, False),
                   ("table", [(EMIT_LINES, 5), (1001, 4)], writer_kernels, False),
-                  ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True))
+                  ("n_shots", args.shots, lambda n: shot_kernels(n, str(script_path)), True),
+                  ("call", ["device"], lambda name: call_kernels(name, tmp), False))
         for key, sizes, kernels, traced in tables:
             for n in sizes:
                 for name, call in kernels(n).items():

@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,14 @@ def _check_inputs(params: GapParams, k_max: float, n_grid: int) -> None:
         raise ValueError(f"k_max must exceed {floor:g} for these parameters, got {k_max}")
     if not 32 <= n_grid <= MAX_GRID:
         raise ValueError(f"n_grid must be in [32, {MAX_GRID}], got {n_grid}")
+    # every node has |m| <= M with M^2 = 2 (p k_max)^2 + (2 k_max^2 + |mu|)^2, and no kernel
+    # value exceeds 12 M^3: the plaquette's triple product sums three products of a component
+    # (<= M) and two edges (<= 2 M each), and the quadrature's |m|^3 is below it
+    inplane, axial = params._inplane_prefactor() * k_max, 2.0 * k_max * k_max + abs(params.mu)
+    norm2 = 2.0 * inplane * inplane + axial * axial
+    if not 12.0 * norm2 * math.sqrt(norm2) <= sys.float_info.max:
+        raise ValueError(f"the texture overflows: |m| reaches {math.sqrt(norm2):.3g} "
+                         f"at k_max = {k_max}, mu = {params.mu}")
 
 
 def _mesh(k_max: float, n_grid: int) -> tuple[np.ndarray, float]:

@@ -1,11 +1,16 @@
 """Config-driven scenario runner with deterministic, machine-readable output.
 
-Subcommands: chern, beat, damp, rabi, chain, device.  Each takes
-``--config <path>`` (flat ``key = value`` lines, ``#`` comments), an optional
-``--out <path>`` for the output file (stdout otherwise), and ``--seed <u64>``
-which overrides the config seed where randomness is involved.  Unknown or
-malformed config keys are hard errors, and so are usage errors (an unknown
-option or subcommand, a non-integer --seed).  The --out file is replaced
+Usage: ``chiralqubit SUBCOMMAND [--config PATH] [--out PATH] [--seed N]``, with
+the subcommands chern, beat, damp, rabi, chain and device.  ``--config`` names a
+file of flat ``key = value`` lines (``#`` comments), ``--out`` the output file
+(stdout otherwise), and ``--seed`` overrides the config seed where randomness is
+involved.  An option is written ``--out PATH`` or ``--out=PATH``, or by a unique
+prefix (``--conf``, ``--o``, ``--s``); a repeated option keeps its last value.  A
+value that starts with ``-`` needs the ``=`` form, unless it is ``-`` or a
+negative number.  ``-h`` or ``--help``, before or after the subcommand, prints
+the usage and exits 0.  Unknown or malformed config keys are hard errors, and so
+are usage errors (a missing or unknown subcommand, an unknown option or extra
+word, a missing value, ``--``, a non-integer --seed).  The --out file is replaced
 atomically: a reader sees the old file or the whole new one, and a failed run
 leaves it as it was.  It gets mode 0o666 less the umask, as open() gives a new
 file, whether or not it existed before.  Fixed exit codes:
@@ -30,12 +35,12 @@ for a whole block at once; tests pin them against repr.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import itertools
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -70,10 +75,20 @@ _EXIT_CODES = (
 _MAPPED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 def _read_text(path: str, what: str) -> str:
+    """The file's text: os.read of its size, one more read to find the end, one UTF-8 decode.
+    The callers' splitlines ends lines at \\r\\n and \\r as well, as universal newlines did."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
+        fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # all of a regular file at once
+            while chunks[-1]:  # a pipe may give less; read to the end
+                chunks.append(os.read(fd, 1 << 16))
+        except OSError as exc:  # os.read's error names no file: name it, as os.open's does
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
@@ -333,35 +348,87 @@ _SUBCOMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is a config error (exit 1), not argparse's exit 2
-        raise ConfigError(message)
+_OPTIONS = ("--help", "--config", "--out", "--seed")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number is a value, not an option
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="chiralqubit",
-        description="chiral p-wave qubit simulator: invariants, beating, chains, sizing",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="path to a 'key = value' config file")
-        cmd.add_argument("--out", default=None, help="output file (stdout when omitted)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-    return parser
+def _option(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
+    """(name, value after '=' or None) of the option in names that token spells; else None."""
+    if token.startswith("--") and token != "--":
+        head, eq, value = token.partition("=")
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            raise ConfigError(f"ambiguous option: {token} could match {', '.join(found)}")
+        return (found[0], value if eq else None) if found else None
+    if token.startswith("-h"):
+        return "--help", None if token.strip("h") == "-" else token[2:].removeprefix("=")
+    return None
+
+
+def _is_value(token: str) -> bool:
+    """Whether a word that spells no option is a value; any other is an unknown option."""
+    return not token.startswith("-") or token == "-" or " " in token or bool(_NEGATIVE.match(token))
+
+
+def _help(value: str | None) -> None:
+    if value is not None:
+        raise ConfigError(f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(f"usage: chiralqubit {{{','.join(_SUBCOMMANDS)}}} [--config PATH] "
+                     "[--out PATH] [--seed N]\n"
+                     "  each option as --opt VALUE, --opt=VALUE or a unique prefix\n")
+    raise SystemExit(0)
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None]:
+    """(subcommand, config, out, seed) of SUBCOMMAND [--config PATH] [--out PATH] [--seed N],
+    read left to right as argparse read it: help exits where it stands, and so does a bad
+    --seed or a missing value; unknown options and extra words fail once all is read."""
+    at = next((k for k, token in enumerate(argv)
+               if token == "--" or _is_value(token) or _option(token, _OPTIONS[:1])), len(argv))
+    if at < len(argv) and (option := _option(argv[at], _OPTIONS[:1])):
+        _help(option[1])
+    if argv[at:] in ([], ["--"]):
+        raise ConfigError("the following arguments are required: subcommand")
+    if argv[at] not in _SUBCOMMANDS:
+        raise ConfigError(f"argument subcommand: invalid choice: {argv[at]!r} "
+                          f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+    rest = argv[at + 1:]
+    end = rest.index("--") if "--" in rest else len(rest)  # "--" and all after it are extra
+    options = [_option(token, _OPTIONS) for token in rest[:end]]  # an ambiguous one fails first
+    stray, values, k = argv[:at], dict.fromkeys(_OPTIONS), 0
+    while k < end:
+        option, k = options[k], k + 1
+        if option is None:
+            stray.append(rest[k - 1])
+            continue
+        name, value = option
+        if name == "--help":
+            _help(value)
+        if value is None:
+            if k == end or options[k] or not _is_value(rest[k]):
+                raise ConfigError(f"argument {name}: expected one argument")
+            value, k = rest[k], k + 1
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"argument --seed: invalid int value: {value!r}") from None
+        values[name] = value
+    if stray or end < len(rest):
+        raise ConfigError(f"unrecognized arguments: {' '.join(stray + rest[end:])}")
+    return argv[at], values["--config"], values["--out"], values["--seed"]
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _coerce(args.subcommand,
-                         _read_config_file(args.config) if args.config is not None else {})
-        if args.seed is not None and "seed" in config:
-            config["seed"] = args.seed
-        text = _SUBCOMMANDS[args.subcommand][0](config)
-        _emit(text, args.out if args.out is not None else config.get("output_path"))
+        subcommand, config_path, out, seed = _parse_argv(
+            sys.argv[1:] if argv is None else list(argv))
+        config = _coerce(subcommand,
+                         _read_config_file(config_path) if config_path is not None else {})
+        if seed is not None and "seed" in config:
+            config["seed"] = seed
+        text = _SUBCOMMANDS[subcommand][0](config)
+        _emit(text, out if out is not None else config.get("output_path"))
     except _MAPPED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

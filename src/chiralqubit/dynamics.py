@@ -143,7 +143,8 @@ def _propagator(e0, x, z, t) -> np.ndarray:
     im[..., 0, 1] = im[..., 1, 0] = -sin * (x / safe)
     if not e0.any():  # exp(0) = 1 would change only the sign of a zero
         return u
-    return np.exp(-1j * e0 * t)[..., None, None] * u
+    with np.errstate(over="ignore", invalid="ignore"):  # so does an overflowing global phase
+        return np.exp(-1j * e0 * t)[..., None, None] * u
 
 
 def eigensystem(params: TwoLevelParams) -> tuple[tuple[float, QubitState], tuple[float, QubitState]]:

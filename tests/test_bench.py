@@ -67,7 +67,8 @@ def test_layer_timer_runs(tmp_path):
     assert report["repeats"] == 1
     layers = report["layers"]
     sizes = [(row["kernel"], row.get("n_grid"), row.get("n_qubits"), row.get("shape"),
-              row.get("n_steps"), row.get("table"), row.get("n_shots")) for row in layers]
+              row.get("n_steps"), row.get("table"), row.get("n_shots"))
+             for row in layers if "call" not in row]
     assert sizes == [
         (kernel, n, None, None, None, None, None) for n in (32, 64) for kernel in GRID_KERNELS
     ] + [
@@ -82,6 +83,9 @@ def test_layer_timer_runs(tmp_path):
     ] + [
         (kernel, None, None, None, None, None, n) for n in (1, 10) for kernel in SHOT_KERNELS
     ]
+    # the fixed cost of a command line: the whole device call, then its argv parse alone
+    assert [(row["kernel"], row["call"]) for row in layers if "call" in row] == [
+        ("cli.main", "device"), ("cli._parse_argv", "device")]
     # the writer rows, and they alone, give the time per value of the block
     assert all(row["ns_per_value"] > 0.0 for row in layers if "table" in row)
     assert not any("ns_per_value" in row for row in layers if "table" not in row)

@@ -423,6 +423,34 @@ class TestSharedLines:
         assert np.array_equal(lines[:, n_grid % 2:], np.stack((mx, my, mz_x, mz_y)))
 
 
+class TestOverflowBound:
+    # the largest texture norm M that _check_inputs lets through keeps 12 M^3 finite
+    @pytest.mark.parametrize("params, k_max", [
+        (GapParams(1.0, 1.0, +1), 1e51),  # M ~ 2 k_max^2
+        (GapParams(1.0, -1e102, +1), 8.0),  # M ~ |mu|
+        (GapParams(1.0, 1e-200, -1), 4.0),  # M ~ sqrt(2) p k_max, p = delta / sqrt(mu)
+    ])
+    def test_largest_meshes_compute_without_overflow(self, params, k_max):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for estimator in (chern_quadrature, chern_plaquette):
+                try:
+                    estimator(params, k_max, 32)
+                except (NotConverged, DegeneratePlaquette):
+                    pass  # a coarse or degenerate mesh, but every value finite
+
+    @pytest.mark.parametrize("params, k_max", [
+        (GapParams(1.0, 1.0, +1), 2e51),
+        (GapParams(1.0, -3e102, +1), 8.0),
+        (GapParams(1.0, 1e-210, -1), 4.0),
+        (GapParams(1.0, 1.0, +1), 1e308),
+    ])
+    def test_beyond_the_bound_is_rejected_before_any_kernel(self, params, k_max):
+        with mock.patch.object(chirality, "_mesh", side_effect=AssertionError("mesh built")):
+            for estimator in (chern_quadrature, chern_plaquette):
+                with pytest.raises(ValueError, match="the texture overflows"):
+                    estimator(params, k_max, 32)
+
+
 class TestResolutionGuard:
     """A quadrature level fails when neighbouring nodes of its k_x line are >= 90 degrees apart."""
 

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -412,6 +414,36 @@ class TestConfigParsing:
         with pytest.raises(RuntimeError, match="not an input error"):
             main(["device"])
 
+    @pytest.mark.parametrize("what", ["config", "script"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, what):
+        bad = tmp_path / f"bad.{what}"
+        bad.write_bytes(b"\xff = 1\n")
+        config = bad if what == "config" else write(tmp_path / "c.cfg", f"script_path = {bad}\n")
+        assert main(["chain", "--config", str(config)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {what} {str(bad)!r}: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 0: invalid start byte\n")
+
+    def test_a_directory_is_named_as_open_named_it(self, tmp_path, capsys):
+        assert main(["device", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read config {str(tmp_path)!r}: "
+                                           f"[Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_ends_read_as_newlines(self, tmp_path, capsys, newline):
+        outputs = []
+        for end in ("\n", newline):
+            script = tmp_path / f"s{len(end)}.gates"
+            script.write_bytes((SWAP_SCRIPT + "# done\n").replace("\n", end).encode())
+            config = f"# bell\nscript_path = {script}\nshots = 3\n".replace("\n", end)
+            code, out = run_to_file(tmp_path, "chain", config, name=f"o{len(end)}")
+            assert code == 0
+            outputs.append(out.read_text(encoding="utf-8").replace(str(script), "S"))
+            bad = write(tmp_path / "bad.cfg", "mu = 1\n\nwords\n".replace("\n", end))
+            assert main(["chern", "--config", bad]) == 1
+            assert capsys.readouterr().err == "error: config line 3: expected 'key = value', got 'words'\n"
+        assert outputs[0] == outputs[1]
+        assert "instr 6 MEASURE 1\n" in outputs[0]
+
     def test_comments_allowed(self, tmp_path):
         config = write(tmp_path / "c.cfg", "# full line\nmu = 1.0  # tail\n")
         code, _ = run_to_file(tmp_path, "chern", "mu = 1.0  # tail\n")
@@ -498,9 +530,24 @@ class TestOutputContract:
         with pytest.raises(ValueError, match="non-finite"):
             cli._rows("a,b", [1.0, 2.0], [3.0, value])
 
+    @pytest.mark.parametrize("config_text", [
+        "mu = 1e300\n", "mu = -1e300\n", "k_max = 1e308\n", "mu = 1e150\n", "mu = -1e150\n",
+        "method = quadrature\nk_max = 1e308\n", "method = plaquette\nmu = -1e300\n",
+    ])
+    def test_overflowing_texture_is_config_error(self, tmp_path, capsys, config_text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_to_file(tmp_path, "chern", config_text)
+        assert code == 1
+        assert not out.exists()
+        assert caught == []  # a numpy warning would print before the error line
+        err = capsys.readouterr().err
+        assert err.startswith("error: the texture overflows") and err.count("\n") == 1
+
     @pytest.mark.parametrize("subcommand, config_text", [
         ("beat", "delta = 1e308\n"),
         ("rabi", "omega = 1e308\n"),
+        ("beat", "e0 = 1e308\n"),  # the global phase e0 t overflows
     ])
     def test_overflowing_trajectory_is_config_error(self, tmp_path, capsys, subcommand, config_text):
         with warnings.catch_warnings(record=True) as caught:
@@ -711,38 +758,98 @@ class TestConfigFuzz:
             assert err == "" and out
 
 
-class TestParserReuse:
-    # the parser is built once per process; a reused parser must answer like a fresh one
-    CALLS = (
-        ["device"],
-        ["beat", "--seed", "4"],
-        ["chern"],
-        ["bogus"],
-        ["device"],
-        ["device", "--seed", "x"],
-        ["beat"],
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's exit 2
+        raise cli.ConfigError(message)
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI read its command line with before cli._parse_argv: the
+    reference for the grammar."""
+    parser = _ReferenceParser(prog="chiralqubit")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in cli._SUBCOMMANDS:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", default=None)
+        cmd.add_argument("--out", default=None)
+        cmd.add_argument("--seed", type=int, default=None)
+    return parser
+
+
+_REFERENCE = _reference_parser()
+
+
+def _reference_parse(argv):
+    """The reference's reading of argv, as the (subcommand, config, out, seed) tuple."""
+    args = _REFERENCE.parse_args(argv)
+    return args.subcommand, args.config, args.out, args.seed
+
+
+# words of a command line: subcommands, values, options whole, by prefix and with "=", help in
+# its forms, "--", and the words that do or do not look like options
+_WORDS = (
+    "chern", "device", "chain", "bogus", "", "x", "a b", "-", "--", "-5", "-1.5", "-.5", "-1e3",
+    "+7", " 7 ", "3", "abc", "--config", "--conf", "--c", "--out", "--o", "--seed", "--s",
+    "--config=a", "--c=", "--out=-x", "--o=--seed", "--seed=3", "--s=-5", "--seed=", "--s=x",
+    "-h", "--help", "--h", "--he", "-hh", "-hx", "--help=x", "--help=", "-h=", "-h=x", "-h x",
+    "--=x", "--=", "-x", "--bogus", "---out", "--out x", "--o=a b", "-o",
+)
+
+
+class TestParseArgv:
+    EDGES = (
+        ["chern", "--config=a.cfg", "--out", "o.txt", "--seed", "7"],
+        ["chern", "--conf", "a", "--o=b", "--s", "3"],
+        ["chern", "--seed", "1", "--seed", "2", "--out", "a", "--out", "b"],
+        ["chern", "--out", "-"], ["chern", "--seed", "-5"], ["chern", "--seed=-5"],
+        ["chern", "--out", "--seed"], ["chern", "--out", "-x"], ["chern", "--out=-x"],
+        ["chern", "--out"], ["chern", "--out", "--"], ["chern", "--"], ["--"], ["--", "chern"],
+        ["chern", "--", "--help"], [], ["bogus"], ["chern", "extra"], ["chern", "--bogus"],
+        ["--bogus", "chern"], ["chern", "--seed", "abc"], ["chern", "--seed", "abc", "--help"],
+        ["--help"], ["-h"], ["chern", "--help"], ["chern", "-h"], ["--help", "bogus"],
+        ["bogus", "--help"], ["chern", "--bogus", "--help"], ["chern", "--help", "--seed", "abc"],
+        ["chern", "--help", "--=x"], ["chern", "--he"], ["chern", "--help=x"], ["chern", "-hx"],
     )
 
     @staticmethod
-    def call(capsys, argv):
+    def outcome(parse, argv, capsys):
+        """("ok", parsed tuple), ("help", exit code, usage printed) or ("error", message)."""
         try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+            result = ("ok", parse(list(argv)))
+        except SystemExit as stop:
+            result = ("help", stop.code, "usage:" in capsys.readouterr().out)
+        except cli.ConfigError as error:
+            result = ("error", str(error))
+        assert capsys.readouterr() == ("", "")
+        return result
 
-    def test_reused_parser_matches_fresh_calls(self, capsys):
-        fresh = []
-        for argv in self.CALLS:
-            cli._build_parser.cache_clear()
-            fresh.append(self.call(capsys, argv))
-        cli._build_parser.cache_clear()
-        reused = [self.call(capsys, argv) for argv in self.CALLS]
-        assert cli._build_parser.cache_info().hits == len(self.CALLS) - 1
-        assert reused == fresh
-        # usage errors exit 1 with one error line, like config errors
-        assert [code for code, _, _ in fresh] == [0, 0, 0, 1, 0, 1, 0]
+    def check(self, argv, capsys):
+        expected = self.outcome(_reference_parse, argv, capsys)
+        assert self.outcome(cli._parse_argv, argv, capsys) == expected, argv
+        if expected[0] == "error":  # through main: exit 1, nothing on stdout, one error line
+            assert main(list(argv)) == 1
+            assert capsys.readouterr() == ("", f"error: {expected[1]}\n")
+        return expected
+
+    @pytest.mark.parametrize("argv", EDGES, ids=" ".join)
+    def test_edge_case_reads_as_argparse_read_it(self, capsys, argv):
+        self.check(argv, capsys)
+
+    def test_documented_forms(self, capsys):
+        assert self.check(["chern", "--conf=a", "--o", "-", "--s", "-5", "--s=6"], capsys) == (
+            "ok", ("chern", "a", "-", 6))
+        assert self.check(["chern", "--bogus", "-h"], capsys) == ("help", 0, True)
+        for argv in (["chern", "--out", "--seed"], ["chern", "--out", "-x"], ["chern", "--"],
+                     ["chern", "--seed", "1.5"]):
+            assert self.check(argv, capsys)[0] == "error"
+
+    def test_seeded_corpus_reads_as_argparse_read_it(self, capsys):
+        rng = random.Random(2026)
+        for _ in range(3000):
+            words = [rng.choice(_WORDS) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.7:  # most lines name a subcommand first
+                words.insert(0, rng.choice(sorted(cli._SUBCOMMANDS)))
+            self.check(words, capsys)
 
 
 class TestDeterminism:
