@@ -1,21 +1,30 @@
 """Same-bytes digest: a sha256 of every output the benchmark inputs and the shipped configs give.
 
-    python bench/digest.py [--seeds 1 2 3 9001] [--limit N] [--against TREE] [--expect NAME ...]
+    python bench/digest.py [--seeds 1 2 3 9001] [--workload W ...] [--limit N]
+                           [--against TREE [--expect NAME ...] [--rounds N]]
 
 The inputs are configs/*.cfg, then every scenario of the workloads of perfbench/workloads.py
-(read-only) at each seed, then their known-defect probes; --limit N keeps the first N.
-load_cli loads the src/chiralqubit next to this file under its own package name, and invoke
-runs each input through its cli.main twice, with --out and to stdout, in a scratch directory
-with relative paths, so a message that names a file names the same file on every tree.  Each
-invocation prints one JSON line: the input's name and mode, the exit code (or the name of an
-escaped exception) and the sha256 of stdout, stderr and the output file (null if none).
+(read-only; all, or those --workload names) at each seed, then their known-defect probes;
+--limit N keeps the first N.  load_cli loads the src/chiralqubit next to this file under its own
+package name, and invoke runs each input through its cli.main twice, with --out and to stdout,
+in a scratch directory with relative paths, so a message that names a file names the same file
+on every tree.  Each invocation prints one JSON line: the input's name and mode, the exit code
+(or the name of an escaped exception) and the sha256 of stdout, stderr and the output file
+(null if none).  The BLAS and OpenMP pools get one thread, as in perfbench/run.py, unless set.
 
---against TREE loads TREE/src/chiralqubit the same way, in this process, runs the same inputs,
-prints the name and mode of every invocation whose line differs and exits 1 if any does.
---expect NAME (repeatable) lets the invocations of input NAME differ: only other differences
-fail, and an expected name that did not differ is reported.  A NAME that is not an input, or a
-tree that cannot be loaded, is a usage error.  Both trees run with this process's environment;
-to compare two settings, diff the JSON lines of two runs without --against.
+--against TREE loads TREE/src/chiralqubit the same way, in this process, runs each invocation
+on both trees back to back, the tree that goes first alternating from one to the next, prints
+the name and mode of every invocation whose line differs and exits 1 if any does.  --expect
+NAME (repeatable) lets the invocations of input NAME differ: only other differences fail, and
+an expected name that did not differ is reported.  A NAME that is not an input, or a tree that
+cannot be loaded, is a usage error.  Both trees run with this process's environment: to
+compare two settings, diff the JSON lines of two runs.
+
+The --out calls of the workload scenarios are timed as they are checked; --rounds N adds N
+passes over them that only time.  After the byte verdict, which alone sets the exit code, it
+prints per workload each side's wall (a round's sum, median over the rounds), p50 and p90 of
+every timed call, then the per-scenario ratio this/against (a scenario's median time on this
+tree over its median on TREE): the median over the scenarios and over each kind of scenario.
 """
 
 from __future__ import annotations
@@ -27,43 +36,50 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:  # before numpy loads
+    os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 
-def from_scenario(name: str, sc) -> tuple[str, str, str, str | None]:
-    """The input tuple of workload scenario sc, named name (see inputs)."""
-    return name, sc.sub, sc.config_text(None if sc.script is None else "script.gates"), sc.script
-
-
-def inputs(seeds: list[int]) -> list[tuple[str, str, str, str | None]]:
-    """(name, subcommand, config text, gate script or None) of every input, in a fixed order."""
+def inputs(seeds: list[int], chosen: list[str]) -> list[tuple[str, str, str, str | None]]:
+    """(name, subcommand, config text, gate script or None) of every input, in a fixed order:
+    the configs, then the scenarios and probes of the chosen workloads."""
     out = []
     for path in sorted((ROOT / "configs").glob("*.cfg")):
         sub = "chain" if path.stem.endswith("chain") else path.stem
         out.append((f"configs/{path.name}", sub, path.read_text(encoding="utf-8"), None))
-    out += [from_scenario(f"{workload}/{seed}/{sc.name}", sc)
-            for workload, generate in workloads.GENERATORS.items()
-            for seed in seeds for sc in generate(seed)]
-    out += [from_scenario(f"{workload}/defect/{defect.scenario.name}", defect.scenario)
-            for workload, defects in workloads.KNOWN_DEFECTS.items() for defect in defects]
-    return out
+    scenarios = [(f"{workload}/{seed}/{sc.name}", sc)
+                 for workload, generate in workloads.GENERATORS.items() if workload in chosen
+                 for seed in seeds for sc in generate(seed)]
+    scenarios += [(f"{workload}/defect/{defect.scenario.name}", defect.scenario)
+                  for workload, defects in workloads.KNOWN_DEFECTS.items() if workload in chosen
+                  for defect in defects]
+    return out + [(name, sc.sub, sc.config_text(None if sc.script is None else "script.gates"),
+                   sc.script) for name, sc in scenarios]
 
 
-def positive(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an integer of at least low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 @contextlib.contextmanager
@@ -125,36 +141,82 @@ def _sha(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-def run(cli, cases) -> list[dict]:
-    """One line per invocation of each case, run in the current directory."""
-    lines = []
-    for case in cases:
-        for mode in ("out", "stdout"):
-            _, (code, exc, out, err, data) = invoke(cli, case, mode == "out")
-            lines.append({"name": case[0], "mode": mode, "exit": code, "exception": exc,
-                          "stdout": _sha(out.encode()), "stderr": _sha(err.encode()),
-                          "file": _sha(data)})
+def run(clis: list, cases, timed: dict, rounds: int = 0) -> list[list[dict]]:
+    """Each tree's lines, one per invocation of each case, run in the current directory.  The
+    trees run each invocation back to back, the one that goes first alternating from one to the
+    next.  The seconds of the --out call of each case k in timed go to timed[k][tree], then
+    those of `rounds` passes over those cases that only time."""
+    lines = [[] for _ in clis]
+    for k, case in enumerate(cases):
+        for m, mode in enumerate(("out", "stdout")):
+            for i in sorted(range(len(clis)), reverse=(k + m) % 2):
+                took, (code, exc, out, err, data) = invoke(clis[i], case, mode == "out")
+                lines[i].append({"name": case[0], "mode": mode, "exit": code, "exception": exc,
+                                 "stdout": _sha(out.encode()), "stderr": _sha(err.encode()),
+                                 "file": _sha(data)})
+                if k in timed and mode == "out":
+                    timed[k][i].append(took)
+    for r in range(1, rounds + 1):
+        for k in timed:
+            for i in sorted(range(len(clis)), reverse=(r + k) % 2):
+                timed[k][i].append(invoke(clis[i], cases[k], True)[0])
     return lines
 
 
-def main(argv=None) -> int:
+def report(workload: str, names: list[str], times: list) -> list[str]:
+    """The timing lines of a workload's scenarios, from their seconds [scenario][side][round]."""
+    lines = []
+    for i, side in enumerate(("this", "against")):
+        calls = [t for scenario in times for t in scenario[i]]
+        wall = statistics.median(map(sum, zip(*(scenario[i] for scenario in times))))
+        lines.append(f"{workload} {side}: wall {wall:.4f} s  "
+                     f"p50 {1e3 * np.percentile(calls, 50):.3f} ms  "
+                     f"p90 {1e3 * np.percentile(calls, 90):.3f} ms")
+    ratios = {}  # by kind of scenario: chain-rf12 of evolve012-chain-rf12
+    for name, (ours, theirs) in zip(names, times):
+        ratios.setdefault(re.sub(r"^[a-z-]+\d+-", "", name), []).append(
+            statistics.median(ours) / statistics.median(theirs))
+    every = [ratio for group in ratios.values() for ratio in group]
+    lines.append(f"{workload} this/against per scenario: median {statistics.median(every):.3f} "
+                 f"over {len(every)} scenarios")
+    for name, group in sorted(ratios.items()):
+        lines.append(f"  {name:28s} {statistics.median(group):.3f}  ({len(group)})")
+    return lines
+
+
+def parser() -> argparse.ArgumentParser:
+    """The command line main reads."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 9001])
-    parser.add_argument("--limit", type=positive, default=None, help="keep the first N inputs")
+    parser.add_argument("--workload", nargs="+", choices=list(workloads.GENERATORS),
+                        default=list(workloads.GENERATORS),
+                        help="the workloads whose scenarios and probes are inputs")
+    parser.add_argument("--limit", type=at_least(1), default=None, help="keep the first N inputs")
     parser.add_argument("--against", type=Path, help="a tree whose src/ to compare with")
     parser.add_argument("--expect", action="append", default=[], metavar="NAME",
                         help="an input whose invocations may differ (with --against)")
-    args = parser.parse_args(argv)
-    if args.expect and args.against is None:
-        parser.error("--expect needs --against")
-    cases = inputs(args.seeds)[:args.limit]
+    parser.add_argument("--rounds", type=at_least(0), default=None,
+                        help="timing-only passes over the workload scenarios (with --against)")
+    return parser
+
+
+def main(argv=None) -> int:
+    usage = parser()
+    args = usage.parse_args(argv)
+    for option in ("expect", "rounds"):
+        if getattr(args, option) not in ([], None) and args.against is None:
+            usage.error(f"--{option} needs --against")
+    cases = inputs(args.seeds, args.workload)[:args.limit]
     unknown = sorted(set(args.expect) - {name for name, *_ in cases})
     if unknown:
-        parser.error(f"--expect names no input: {', '.join(unknown)}")
+        usage.error(f"--expect names no input: {', '.join(unknown)}")
     trees = [ROOT] + ([] if args.against is None else [args.against.resolve()])
+    # the workload scenarios, neither configs nor probes: seconds [side][round] of each
+    timed = {k: [[] for _ in trees] for k, (name, *_) in enumerate(cases)
+             if name.split("/")[0] in args.workload and name.split("/")[1] != "defect"}
     with workdir() as scratch:
         clis = [load_cli(tree, f"chiralqubit_{side}", scratch) for side, tree in zip("ab", trees)]
-        lines = [run(cli, cases) for cli in clis]
+        lines = run(clis, cases, timed, args.rounds or 0)
     if args.against is None:
         for line in lines[0]:
             print(json.dumps(line))
@@ -168,6 +230,13 @@ def main(argv=None) -> int:
     for name in sorted(set(args.expect) - {line["name"] for line in differ}):
         print(f"expected to differ, but the same: {name}")
     print(f"{len(ours) - len(differ)} of {len(ours)} invocations the same")
+    if timed:
+        print(f"# this = {ROOT}, against = {trees[1]}; {1 + (args.rounds or 0)} timed rounds")
+    for workload in args.workload:
+        mine = [k for k in timed if cases[k][0].startswith(f"{workload}/")]
+        if mine:
+            print("\n".join(report(workload, [cases[k][0].rsplit("/", 1)[1] for k in mine],
+                                   [timed[k] for k in mine])))
     return 1 if any(line["name"] not in args.expect for line in differ) else 0
 
 

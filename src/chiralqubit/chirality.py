@@ -162,6 +162,10 @@ def _check_inputs(params: GapParams, k_max: float, n_grid: int) -> None:
     if not 12.0 * norm2 * math.sqrt(norm2) <= sys.float_info.max:
         raise ValueError(f"the texture overflows: |m| reaches {math.sqrt(norm2):.3g} "
                          f"at k_max = {k_max}, mu = {params.mu}")
+    # on an odd grid the node at k = 0 has |m| = |mu|, and the quadrature divides by |m|^3
+    if n_grid % 2 and not abs(params.mu) ** 3 >= sys.float_info.min:
+        raise ValueError(f"the texture underflows: |m| = |mu| = {abs(params.mu):.3g} at the "
+                         f"k = 0 node of the odd n_grid = {n_grid}")
 
 
 def _mesh(k_max: float, n_grid: int) -> tuple[np.ndarray, float]:
@@ -321,12 +325,16 @@ def _level(params: GapParams, k_max: float, n_grid: int, methods: tuple) -> list
         quadrature = method == "quadrature"
         total = _quadrature_sum(params, x, h) if quadrature else _plaquette_sum(params, x, lines)
         raw = -(total + cap) / (4.0 * math.pi)  # the sign fixes N(chi=+1, mu>0) = +1
-        n_int = int(round(raw))
+        degree = abs(raw) < 1.5  # this texture's degree is chi or 0; False for inf and nan
+        n_int = int(round(raw)) if degree else 0
         result = ChernResult(n_int, raw, abs(raw - n_int), n_grid, k_max, method)
         # the quadrature's resolution guard: unnormalized neighbour dots along the k_x line
         if quadrature and (mx[:-1] * mx[1:] + lines[1, 1] ** 2 + mz[:-1] * mz[1:]).min() <= 0.0:
             raise NotConverged(result, f"the texture is unresolved at n_grid={n_grid}: "
                                "neighbouring mesh nodes are 90 degrees or more apart")
+        if not degree:
+            raise NotConverged(result, f"raw value {raw} at n_grid={n_grid} rounds to no "
+                               "degree of this texture (-1, 0 or +1)")
         if result.residual >= RESIDUAL_LIMIT:
             raise NotConverged(result)
         results.append(result)

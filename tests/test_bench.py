@@ -1,10 +1,14 @@
-"""Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report, the
-byte digest tells a tree from itself and from a one-character change, lets the inputs named
-with --expect differ and keeps two trees loaded in one process apart, the in-process A/B timer
-compares two trees on a few scenarios, and both tools turn a --limit below 1 and a tree that
-cannot be loaded into a usage error."""
+"""Smoke tests: the layer timer in bench/ runs at its smallest sizes and writes its report where
+it was asked, the byte digest tells a tree from itself and from a one-character change, lets the
+inputs named with --expect differ, keeps two trees loaded in one process apart and times the
+workload scenarios it checks, both tools turn a bad count and a tree that cannot be loaded into
+a usage error, and every bench command in README.md parses with its tool's own parser."""
 
+import importlib
 import json
+import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +19,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
 DIGEST = ROOT / "bench" / "digest.py"
-AB = ROOT / "bench" / "ab.py"
 GRID_KERNELS = [
     "kspace.texture_field",
     "chirality._cap_closure",
@@ -177,27 +180,108 @@ def test_digest_keeps_two_trees_apart(tmp_path):
         "2 of 6 invocations the same"]
 
 
-def test_ab_times_two_trees(tmp_path):
+def test_digest_times_what_it_checks(tmp_path):
     tree = copy_tree(tmp_path)
-    # the first 3 evolve scenarios of seed 1, twice: damp1e3, rabi1e3, rabi1e3
-    command = [sys.executable, str(AB), str(ROOT), str(tree), "--workload", "evolve",
-               "--seeds", "1", "1", "--limit", "3", "--rounds", "1"]
+    # the 7 configs, then the first 5 evolve scenarios of seed 1: damp1e3, rabi1e3,
+    # pair0-rabi-amp0, device and rabi1e3
+    command = [sys.executable, str(DIGEST), "--workload", "evolve", "--seeds", "1",
+               "--limit", "12", "--rounds", "1", "--against", str(tree)]
     proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].endswith("1 timed rounds")
-    assert lines[1].startswith("evolve A: wall ") and lines[2].startswith("evolve B: wall ")
-    assert all(" p50 " in line and line.endswith(" ms") for line in lines[1:3])
-    assert lines[3].startswith("evolve B/A per scenario: median ") and "over 6 scenarios" in lines[3]
-    assert [line.split()[0] for line in lines[4:]] == ["damp1e3", "rabi1e3"]
-    assert [line.split()[-1] for line in lines[4:]] == ["(2)", "(4)"]
+    assert lines[0] == "24 of 24 invocations the same"
+    assert lines[1] == f"# this = {ROOT}, against = {tree}; 2 timed rounds"
+    assert lines[2].startswith("evolve this: wall ") and lines[3].startswith("evolve against: ")
+    assert all(" p50 " in line and line.endswith(" ms") for line in lines[2:4])
+    assert lines[4].startswith("evolve this/against per scenario: median ")
+    assert lines[4].endswith(" over 5 scenarios")
+    kinds = [line.split() for line in lines[5:]]
+    assert [(kind[0], kind[-1]) for kind in kinds] == [
+        ("damp1e3", "(1)"), ("device", "(1)"), ("pair0-rabi-amp0", "(1)"), ("rabi1e3", "(2)")]
+
+    # the exit code still depends only on bytes: a one-character change fails the same run
+    cli = tree / "src" / "chiralqubit" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus,purity"',
+                                '"t,p_diff,pop_plus,pop_minus,puritY"'), encoding="utf-8")
+    proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:6] == [
+        "differs: configs/damp.cfg (out)", "differs: configs/damp.cfg (stdout)",
+        "differs: evolve/1/evolve000-damp1e3 (out)", "differs: evolve/1/evolve000-damp1e3 (stdout)",
+        "20 of 24 invocations the same", f"# this = {ROOT}, against = {tree}; 2 timed rounds"]
+    assert len(lines) == 13 and lines[-1].split()[-1] == "(2)"
+
+
+class _Tree:
+    """A stand-in for a loaded cli module that records each call it gets."""
+
+    def __init__(self, name: str, calls: list):
+        self.name, self.calls = name, calls
+
+    def main(self, argv) -> int:
+        self.calls.append((self.name, "--out" in argv))
+        return 0
+
+
+def test_digest_alternates_the_tree_that_goes_first(bench_tools, tmp_path, monkeypatch):
+    digest = bench_tools["digest"]
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    trees = [_Tree("this", calls), _Tree("against", calls)]
+    cases = [("configs/beat.cfg", "beat", "", None), ("evolve/1/evolve000-beat", "beat", "", None)]
+    timed = {1: [[], []]}  # the second case is a workload scenario
+    digest.run(trees, cases, timed, rounds=2)
+    assert calls == [
+        ("this", True), ("against", True), ("against", False), ("this", False),
+        ("against", True), ("this", True), ("this", False), ("against", False),
+        ("this", True), ("against", True),  # the rounds that only time
+        ("against", True), ("this", True)]
+    assert [len(seconds) for seconds in timed[1]] == [3, 3]
+
+
+def test_digest_ratio_is_this_tree_over_the_other(bench_tools):
+    # [scenario][side][round]: this tree takes half the time on the first kind, twice on the other
+    times = [[[1.0, 3.0], [2.0, 6.0]], [[1.0, 1.0], [2.0, 2.0]], [[4.0, 4.0], [2.0, 2.0]]]
+    names = ["evolve000-damp1e3", "evolve001-damp1e3", "evolve002-chain-rf12"]
+    assert bench_tools["digest"].report("evolve", names, times) == [
+        "evolve this: wall 7.0000 s  p50 2000.000 ms  p90 4000.000 ms",
+        "evolve against: wall 8.0000 s  p50 2000.000 ms  p90 4000.000 ms",
+        "evolve this/against per scenario: median 0.500 over 3 scenarios",
+        f"  {'chain-rf12':28s} 2.000  (1)",
+        f"  {'damp1e3':28s} 0.500  (2)"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rounds", "-1", "--against", "."], "argument --rounds: must be >= 0, got -1"),
+    (["--rounds", "1"], "--rounds needs --against"),
+    (["--expect", "configs/beat.cfg"], "--expect needs --against"),
+], ids=["rounds-below-0", "rounds-alone", "expect-alone"])
+def test_digest_options_that_need_another_are_usage_errors(tmp_path, args, message):
+    proc = subprocess.run([sys.executable, str(DIGEST), *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert proc.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
+def test_layer_timer_writes_a_relative_out_where_it_was_called(tmp_path):
+    caller = tmp_path / "caller"
+    caller.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(LAYERS), "--out", "rows.json", "--sizes", "32", "--qubits", "2",
+         "--steps", "1", "--shots", "1", "--repeats", "1"],
+        cwd=caller, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["caller", "rows.json"]
+    assert json.loads((caller / "rows.json").read_text(encoding="utf-8"))["layers"]
 
 
 @pytest.mark.parametrize("tool, args", [
     (DIGEST, ["--limit", "0", "--against", "."]),
     (DIGEST, ["--limit", "-3"]),
-    (AB, [".", ".", "--limit", "0"]),
-], ids=["digest-against-0", "digest--3", "ab-0"])
+], ids=["digest-against-0", "digest--3"])
 def test_limit_below_one_is_a_usage_error(tmp_path, tool, args):
     proc = subprocess.run([sys.executable, str(tool), *args], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
@@ -212,10 +296,40 @@ def test_limit_below_one_is_a_usage_error(tmp_path, tool, args):
 def test_a_tree_that_cannot_be_loaded_is_a_usage_error(tmp_path, break_tree):
     tree = copy_tree(tmp_path)
     break_tree(tree)
-    for tool, args in ((DIGEST, ["--against", str(tree)]), (AB, [str(ROOT), str(tree)])):
-        proc = subprocess.run([sys.executable, str(tool), *args], cwd=tmp_path,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 2 and proc.stdout == "", proc.stdout
-        # one line, naming the tree, and no traceback
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith(f"error: cannot load {tree}: ")
+    proc = subprocess.run([sys.executable, str(DIGEST), "--against", str(tree)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    # one line, naming the tree, and no traceback
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot load {tree}: ")
+
+
+@pytest.fixture(scope="module")
+def bench_tools():
+    """The bench tools as modules, imported with this process's environment and sys.path left
+    as they were (digest pins the thread pools as it loads)."""
+    environ, path = dict(os.environ), list(sys.path)
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        return {path.stem: importlib.import_module(path.stem)
+                for path in sorted((ROOT / "bench").glob("*.py"))}
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+
+
+def test_readme_bench_commands_parse(bench_tools):
+    # every "python bench/<tool>.py ..." line of README's code blocks, up to the end of the
+    # command (a comment, a closing parenthesis, a pipe, ; or &), parsed but not run
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"^```[a-z]*\n(.*?)^```", readme, flags=re.M | re.S))
+    commands = re.findall(r"python bench/(\w+)\.py([^#)|;&\n]*)", blocks)
+    assert {tool for tool, _ in commands} == set(bench_tools) == {"digest", "layers"}
+    for tool, args in commands:
+        try:
+            bench_tools[tool].parser().parse_args(shlex.split(args))
+        except SystemExit:
+            pytest.fail(f"README: python bench/{tool}.py{args} does not parse")
+    # and README names no tool that is not there
+    assert set(re.findall(r"(?<!\w)bench/(\w+)\.py", readme)) == set(bench_tools)

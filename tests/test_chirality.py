@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -449,6 +450,54 @@ class TestOverflowBound:
             for estimator in (chern_quadrature, chern_plaquette):
                 with pytest.raises(ValueError, match="the texture overflows"):
                     estimator(params, k_max, 32)
+
+
+class TestUnderflowBound:
+    # on an odd grid the node at k = 0 has |m| = |mu|, and the quadrature divides by |m|^3:
+    # the smallest |mu| that _check_inputs lets through keeps |mu|^3 a normal float
+    SMALLEST = sys.float_info.min ** (1.0 / 3.0)
+
+    @pytest.mark.parametrize("mu", [SMALLEST, -SMALLEST])
+    def test_smallest_mu_computes_without_underflow(self, mu):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for estimator in (chern_quadrature, chern_plaquette):
+                try:
+                    estimator(GapParams(1.0, mu, +1), 8.0, 33)
+                except (NotConverged, DegeneratePlaquette):
+                    pass  # an unresolved core at k = 0, but every value finite
+
+    @pytest.mark.parametrize("params", [
+        GapParams(1.0, 1e-150, +1), GapParams(1.0, -1e-150, +1),
+        GapParams(1e-300, 1e-300, +1), GapParams(1.0, -5e-324, -1),
+    ])
+    def test_below_the_bound_is_rejected_before_any_kernel(self, params):
+        with mock.patch.object(chirality, "_mesh", side_effect=AssertionError("mesh built")):
+            for estimator in (chern_quadrature, chern_plaquette):
+                with pytest.raises(ValueError, match="the texture underflows"):
+                    estimator(params, 8.0, 33)
+
+    def test_even_grids_sample_no_node_at_the_origin(self):
+        # their nodes sit half a cell off k = 0, so the same |mu| is no bound there
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert chern_plaquette(GapParams(1.0, -1e-150, +1), 8.0, 32).n_integer == 0
+
+
+class TestDegrees:
+    """The degree of this texture is chi or 0: a level whose raw value is not finite or rounds
+    outside {-1, 0, +1} reports no integer, whatever its residual."""
+
+    @pytest.mark.parametrize("shift", [-4.0 * math.pi, 12.0 * math.pi, math.inf, math.nan],
+                             ids=["raw-2", "raw-minus-2", "inf", "nan"])
+    def test_raw_value_that_is_no_degree_not_converged(self, monkeypatch, shift):
+        level_sum = chirality._quadrature_sum
+        monkeypatch.setattr(chirality, "_quadrature_sum", lambda *args: level_sum(*args) + shift)
+        with pytest.raises(NotConverged, match="at n_grid=128 rounds to no degree") as excinfo:
+            chern_quadrature(GapParams(1.0, 1.0, +1), 8.0, 128)
+        assert not abs(excinfo.value.result.raw) < 1.5
+
+    def test_degrees_of_both_chiralities_pass(self):
+        for chi, mu, degree in ((+1, 1.0, 1), (-1, 1.0, -1), (+1, -1.0, 0)):
+            assert chern_quadrature(GapParams(1.0, mu, chi), 8.0, 128).n_integer == degree
 
 
 class TestResolutionGuard:

@@ -127,6 +127,29 @@ class TestChern:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unresolved at n_grid=128" in err
 
+    @pytest.mark.parametrize("config_text, code, message", [
+        # |m| = |mu| at the k = 0 node of an odd grid: |m|^3 underflows to 0
+        ("mu = 1e-150\nn_grid = 33\nmethod = quadrature\n", 1, "the texture underflows"),
+        ("mu = 1e-150\nn_grid = 33\nmethod = both\n", 1, "the texture underflows"),
+        ("mu = 1e-300\ngap = 1e-300\nn_grid = 33\nmethod = plaquette\n", 1,
+         "the texture underflows"),
+        # raw -1.87e98, a float with residual 0.0
+        ("mu = -1e-50\nn_grid = 33\nmethod = quadrature\n", 3, "raw value -1.87"),
+        # raw -128.999 lies within the residual limit of an integer, and the guard passes
+        ("gap = 8.00487381854426\nmu = -0.09520075284135365\nchi = 1\nmethod = quadrature\n"
+         "n_grid = 267\n", 3, "raw value -128.99906035085803 at n_grid=267 rounds to no degree"),
+    ], ids=["tiny-mu-quadrature", "tiny-mu-both", "tiny-mu-plaquette", "raw-1e98", "raw-129"])
+    def test_no_integer_outside_the_degrees(self, tmp_path, capsys, config_text, code, message):
+        # the texture's degree is chi or 0; these once ended in a traceback or a huge N at exit 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out = run_to_file(tmp_path, "chern", config_text)
+        assert got == code
+        assert not out.exists()
+        assert caught == []  # a numpy warning would print before the error line
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_estimators_that_disagree_exit_code(self, tmp_path, capsys, monkeypatch):
         # a plaquette sum one full sphere off converges to an integer one below the quadrature's
         level_sum = chirality._plaquette_sum
