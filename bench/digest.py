@@ -25,6 +25,8 @@ passes over them that only time.  After the byte verdict, which alone sets the e
 prints per workload each side's wall (a round's sum, median over the rounds), p50 and p90 of
 every timed call, then the per-scenario ratio this/against (a scenario's median time on this
 tree over its median on TREE): the median over the scenarios and over each kind of scenario.
+Without --rounds a line under the header says that the per-kind ratios need it: one call per
+side swings a sub-millisecond kind by 30%.
 """
 
 from __future__ import annotations
@@ -232,6 +234,8 @@ def main(argv=None) -> int:
     print(f"{len(ours) - len(differ)} of {len(ours)} invocations the same")
     if timed:
         print(f"# this = {ROOT}, against = {trees[1]}; {1 + (args.rounds or 0)} timed rounds")
+        if not args.rounds:
+            print("# one timed call per side and scenario: per-kind ratios need --rounds N")
     for workload in args.workload:
         mine = [k for k in timed if cases[k][0].startswith(f"{workload}/")]
         if mine:

@@ -4,13 +4,16 @@ Usage: ``chiralqubit SUBCOMMAND [--config PATH] [--out PATH] [--seed N]``, with
 the subcommands chern, beat, damp, rabi, chain and device.  ``--config`` names a
 file of flat ``key = value`` lines (``#`` comments), ``--out`` the output file
 (stdout otherwise), and ``--seed`` overrides the config seed where randomness is
-involved.  An option is written ``--out PATH`` or ``--out=PATH``, or by a unique
-prefix (``--conf``, ``--o``, ``--s``); a repeated option keeps its last value.  A
-value that starts with ``-`` needs the ``=`` form, unless it is ``-`` or a
-negative number.  ``-h`` or ``--help``, before or after the subcommand, prints
-the usage and exits 0.  Unknown or malformed config keys are hard errors, and so
-are usage errors (a missing or unknown subcommand, an unknown option or extra
-word, a missing value, ``--``, a non-integer --seed).  The --out file is replaced
+involved.  argparse defines the grammar: an option is written ``--out PATH`` or
+``--out=PATH``, or by a unique prefix (``--conf``, ``--o``, ``--s``); a repeated
+option keeps its last value; a value that starts with ``-`` needs the ``=`` form,
+unless it is ``-`` or a negative number; ``-h`` or ``--help`` prints argparse's
+help and exits 0.  A line of whole words, a subcommand followed by ``--config``,
+``--out`` or ``--seed`` each with a value that does not start with ``-`` (and an
+integer for --seed), is read directly, as argparse would read it, without building
+the parser.  Unknown or malformed config keys are hard errors, and so are usage
+errors (a missing or unknown subcommand, an unknown option or extra word, a
+missing value, ``--``, a non-integer --seed).  The --out file is replaced
 atomically: a reader sees the old file or the whole new one, and a failed run
 leaves it as it was.  It gets mode 0o666 less the umask, as open() gives a new
 file, whether or not it existed before.  Fixed exit codes:
@@ -40,7 +43,6 @@ import functools
 import itertools
 import math
 import os
-import re
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -75,19 +77,11 @@ _EXIT_CODES = (
 _MAPPED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 def _read_text(path: str, what: str) -> str:
-    """The file's text: os.read of its size, one more read to find the end, one UTF-8 decode.
-    The callers' splitlines ends lines at \\r\\n and \\r as well, as universal newlines did."""
+    """The file's text, read to its end (a pipe too) and decoded as UTF-8.  The callers'
+    splitlines ends lines at \\r\\n and \\r as well, as universal newlines did."""
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
-        try:
-            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # all of a regular file at once
-            while chunks[-1]:  # a pipe may give less; read to the end
-                chunks.append(os.read(fd, 1 << 16))
-        except OSError as exc:  # os.read's error names no file: name it, as os.open's does
-            raise OSError(exc.errno, exc.strerror, path) from None
-        finally:
-            os.close(fd)
-        return b"".join(chunks).decode("utf-8")
+        with open(path, "rb", buffering=0) as handle:  # readall: a read sized by fstat, to the end
+            return handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
 
@@ -159,35 +153,28 @@ def _text(lines: Iterable[str]) -> Iterator[str]:
 def _emit(text: Iterable[str], out_path: str | None) -> None:
     """Write the pieces of text to stdout, or atomically to out_path.
 
-    The file is written under a fresh name beside out_path, created here alone (O_EXCL) with
-    mode 0o666 less the umask, as open() would give, and then renamed over out_path.
+    The file is written under a fresh name beside out_path, created here alone (mode "x":
+    O_EXCL) with mode 0o666 less the umask, as open() gives, and then renamed over out_path.
     """
     if out_path is None:
         sys.stdout.writelines(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    tmp = fd = None
+    tmp = None
     try:
         while tmp is None:
             name = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
             try:
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-                tmp = name
+                handle, tmp = open(name, "xb"), name
             except FileExistsError:  # not ours: draw another name
                 pass
-        for piece in text:
-            data = memoryview(piece.encode("utf-8"))
-            while data:  # os.write may take less than it is given
-                data = data[os.write(fd, data):]
-        closing, fd = fd, None
-        os.close(closing)
+        with handle:
+            handle.writelines(piece.encode("utf-8") for piece in text)
         os.replace(tmp, out_path)
         tmp = None
     except OSError as exc:  # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, out_path) from None
     finally:
-        if fd is not None:
-            os.close(fd)
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
@@ -348,75 +335,46 @@ _SUBCOMMANDS = {
 }
 
 
-_OPTIONS = ("--help", "--config", "--out", "--seed")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number is a value, not an option
+@functools.cache
+def _parser():
+    """The argparse parser that defines the command line; argparse is imported on first use."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is a config error (exit 1), not argparse's exit 2
+            raise ConfigError(message)
 
-def _option(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
-    """(name, value after '=' or None) of the option in names that token spells; else None."""
-    if token.startswith("--") and token != "--":
-        head, eq, value = token.partition("=")
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            raise ConfigError(f"ambiguous option: {token} could match {', '.join(found)}")
-        return (found[0], value if eq else None) if found else None
-    if token.startswith("-h"):
-        return "--help", None if token.strip("h") == "-" else token[2:].removeprefix("=")
-    return None
-
-
-def _is_value(token: str) -> bool:
-    """Whether a word that spells no option is a value; any other is an unknown option."""
-    return not token.startswith("-") or token == "-" or " " in token or bool(_NEGATIVE.match(token))
-
-
-def _help(value: str | None) -> None:
-    if value is not None:
-        raise ConfigError(f"argument -h/--help: ignored explicit argument {value!r}")
-    sys.stdout.write(f"usage: chiralqubit {{{','.join(_SUBCOMMANDS)}}} [--config PATH] "
-                     "[--out PATH] [--seed N]\n"
-                     "  each option as --opt VALUE, --opt=VALUE or a unique prefix\n")
-    raise SystemExit(0)
+    parser = Parser(
+        prog="chiralqubit",
+        description="chiral p-wave qubit simulator: invariants, beating, chains, sizing",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _SUBCOMMANDS:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", default=None, help="path to a 'key = value' config file")
+        cmd.add_argument("--out", default=None, help="output file (stdout when omitted)")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+    return parser
 
 
 def _parse_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None]:
-    """(subcommand, config, out, seed) of SUBCOMMAND [--config PATH] [--out PATH] [--seed N],
-    read left to right as argparse read it: help exits where it stands, and so does a bad
-    --seed or a missing value; unknown options and extra words fail once all is read."""
-    at = next((k for k, token in enumerate(argv)
-               if token == "--" or _is_value(token) or _option(token, _OPTIONS[:1])), len(argv))
-    if at < len(argv) and (option := _option(argv[at], _OPTIONS[:1])):
-        _help(option[1])
-    if argv[at:] in ([], ["--"]):
-        raise ConfigError("the following arguments are required: subcommand")
-    if argv[at] not in _SUBCOMMANDS:
-        raise ConfigError(f"argument subcommand: invalid choice: {argv[at]!r} "
-                          f"(choose from {', '.join(map(repr, _SUBCOMMANDS))})")
-    rest = argv[at + 1:]
-    end = rest.index("--") if "--" in rest else len(rest)  # "--" and all after it are extra
-    options = [_option(token, _OPTIONS) for token in rest[:end]]  # an ambiguous one fails first
-    stray, values, k = argv[:at], dict.fromkeys(_OPTIONS), 0
-    while k < end:
-        option, k = options[k], k + 1
-        if option is None:
-            stray.append(rest[k - 1])
-            continue
-        name, value = option
-        if name == "--help":
-            _help(value)
-        if value is None:
-            if k == end or options[k] or not _is_value(rest[k]):
-                raise ConfigError(f"argument {name}: expected one argument")
-            value, k = rest[k], k + 1
-        if name == "--seed":
-            try:
-                value = int(value)
-            except ValueError:
-                raise ConfigError(f"argument --seed: invalid int value: {value!r}") from None
-        values[name] = value
-    if stray or end < len(rest):
-        raise ConfigError(f"unrecognized arguments: {' '.join(stray + rest[end:])}")
-    return argv[at], values["--config"], values["--out"], values["--seed"]
+    """(subcommand, config, out, seed) of the command line, as _parser reads it.  A subcommand
+    followed by pairs of a whole option name and a value that does not start with '-' (an int
+    for --seed) is read here: argparse takes no such value for an option and reads --seed with
+    int, so it would read the line the same way.  Any other line goes to argparse."""
+    values = dict.fromkeys(("--config", "--out", "--seed"))
+    if len(argv) % 2 and argv[0] in _SUBCOMMANDS:
+        try:
+            for name, value in zip(argv[1::2], argv[2::2]):
+                if name not in values or value.startswith("-"):
+                    break
+                values[name] = int(value) if name == "--seed" else value
+            else:
+                return argv[0], values["--config"], values["--out"], values["--seed"]
+        except ValueError:  # a --seed that int() refuses: argparse words the error
+            pass
+    args = _parser().parse_args(argv)
+    return args.subcommand, args.config, args.out, args.seed
 
 
 def main(argv=None) -> int:

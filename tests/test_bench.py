@@ -185,8 +185,9 @@ def test_digest_times_what_it_checks(tmp_path):
     # the 7 configs, then the first 5 evolve scenarios of seed 1: damp1e3, rabi1e3,
     # pair0-rabi-amp0, device and rabi1e3
     command = [sys.executable, str(DIGEST), "--workload", "evolve", "--seeds", "1",
-               "--limit", "12", "--rounds", "1", "--against", str(tree)]
-    proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+               "--limit", "12", "--against", str(tree)]
+    proc = subprocess.run([*command, "--rounds", "1"], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "24 of 24 invocations the same"
@@ -199,7 +200,8 @@ def test_digest_times_what_it_checks(tmp_path):
     assert [(kind[0], kind[-1]) for kind in kinds] == [
         ("damp1e3", "(1)"), ("device", "(1)"), ("pair0-rabi-amp0", "(1)"), ("rabi1e3", "(2)")]
 
-    # the exit code still depends only on bytes: a one-character change fails the same run
+    # the exit code still depends only on bytes: a one-character change fails the same run,
+    # here without --rounds, which a line under the header marks
     cli = tree / "src" / "chiralqubit" / "cli.py"
     text = cli.read_text(encoding="utf-8")
     cli.write_text(text.replace('"t,p_diff,pop_plus,pop_minus,purity"',
@@ -207,11 +209,12 @@ def test_digest_times_what_it_checks(tmp_path):
     proc = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:6] == [
+    assert lines[:7] == [
         "differs: configs/damp.cfg (out)", "differs: configs/damp.cfg (stdout)",
         "differs: evolve/1/evolve000-damp1e3 (out)", "differs: evolve/1/evolve000-damp1e3 (stdout)",
-        "20 of 24 invocations the same", f"# this = {ROOT}, against = {tree}; 2 timed rounds"]
-    assert len(lines) == 13 and lines[-1].split()[-1] == "(2)"
+        "20 of 24 invocations the same", f"# this = {ROOT}, against = {tree}; 1 timed rounds",
+        "# one timed call per side and scenario: per-kind ratios need --rounds N"]
+    assert len(lines) == 14 and lines[-1].split()[-1] == "(2)"
 
 
 class _Tree:

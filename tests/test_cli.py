@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -467,6 +469,30 @@ class TestConfigParsing:
         assert outputs[0] == outputs[1]
         assert "instr 6 MEASURE 1\n" in outputs[0]
 
+    def test_a_pipe_is_read_to_its_end(self, tmp_path):
+        # more comment bytes than a pipe holds at once, then the keys
+        text = "# padding\n" * 8000 + "h_gauss = 2.5\nmass_ratio = 3.0\n"
+        assert len(text) > 1 << 16
+        plain = write(tmp_path / "c.cfg", text)
+        assert main(["device", "--config", plain, "--out", str(tmp_path / "plain.out")]) == 0
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "wb") as sink, contextlib.suppress(BrokenPipeError):
+                sink.write(text.encode())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            code = main(["device", "--config", f"/dev/fd/{read_end}",
+                         "--out", str(tmp_path / "pipe.out")])
+        finally:
+            os.close(read_end)
+            writer.join(timeout=10)
+        assert code == 0
+        assert (tmp_path / "pipe.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
+        assert b"# field: 2.5 G" in (tmp_path / "pipe.out").read_bytes()
+
     def test_comments_allowed(self, tmp_path):
         config = write(tmp_path / "c.cfg", "# full line\nmu = 1.0  # tail\n")
         code, _ = run_to_file(tmp_path, "chern", "mu = 1.0  # tail\n")
@@ -714,7 +740,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 0
-        assert "usage:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("usage: chiralqubit")
+        if argv[0] == "chern":  # argparse's help names each option
+            assert "--config CONFIG" in out and "--seed SEED" in out
 
 
 def _number(low: float, high: float, *junk: str):
@@ -787,8 +816,8 @@ class _ReferenceParser(argparse.ArgumentParser):
 
 
 def _reference_parser() -> argparse.ArgumentParser:
-    """The argparse parser the CLI read its command line with before cli._parse_argv: the
-    reference for the grammar."""
+    """The argparse parser that cli._parser builds, built here apart from the CLI: the
+    reference for the grammar, and for the lines cli._parse_argv reads without it."""
     parser = _ReferenceParser(prog="chiralqubit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in cli._SUBCOMMANDS:
@@ -832,6 +861,7 @@ class TestParseArgv:
         ["--help"], ["-h"], ["chern", "--help"], ["chern", "-h"], ["--help", "bogus"],
         ["bogus", "--help"], ["chern", "--bogus", "--help"], ["chern", "--help", "--seed", "abc"],
         ["chern", "--help", "--=x"], ["chern", "--he"], ["chern", "--help=x"], ["chern", "-hx"],
+        ["-h=hh"], ["chern", "-h=hh"],
     )
 
     @staticmethod
@@ -873,6 +903,63 @@ class TestParseArgv:
             if rng.random() < 0.7:  # most lines name a subcommand first
                 words.insert(0, rng.choice(sorted(cli._SUBCOMMANDS)))
             self.check(words, capsys)
+
+    def test_whole_word_lines_read_as_argparse_read_them(self, capsys):
+        # whole option names, repeated, values argparse takes as values (a subcommand name
+        # too), some --seed values int() refuses, an odd trailing option, a value where an
+        # option belongs, shuffled lines
+        options, integers = ("--config", "--out", "--seed"), (" 7 ", "7_0", "+7", "3")
+        values = integers + ("", "a b", "x=y", "x", "chern", "device", "1" * 5000)
+        rng = random.Random(28)
+        fast, slow = [], []
+        for _ in range(1500):
+            pairs = [[rng.choice(options if rng.random() < 0.95 else values), rng.choice(values)]
+                     for _ in range(rng.randint(0, 4))]
+            words = [word for pair in pairs for word in pair]
+            trailing = rng.random() < 0.15
+            words += [rng.choice(options)] if trailing else []
+            if rng.random() < 0.1:
+                rng.shuffle(words)
+            words.insert(0, rng.choice(sorted(cli._SUBCOMMANDS)))
+            whole = not trailing and all(name in options and (name != "--seed" or value in integers)
+                                         for name, value in zip(words[1::2], words[2::2]))
+            (fast if whole else slow).append(words)
+        assert len(fast) > 500 and len(slow) > 300
+        cli._parser.cache_clear()
+        for words in fast:
+            assert self.check(words, capsys)[0] == "ok"
+        assert cli._parser.cache_info().currsize == 0  # argparse was never asked
+        for words in slow:
+            self.check(words, capsys)
+        assert cli._parser.cache_info().currsize == 1
+
+
+def test_benchmark_command_lines_do_not_import_argparse(tmp_path):
+    # perfbench/run.py's argv, [sub, "--config", path, "--out", path], on every shipped config,
+    # and once with --seed, in a fresh interpreter: the whole-word reader answers every line
+    root = Path(__file__).resolve().parents[1]
+    code = """if True:
+        import json, sys
+        from pathlib import Path
+        from chiralqubit import cli
+        codes, outs = {}, Path(sys.argv[1])
+        for path in sorted(Path("configs").glob("*.cfg")):
+            sub = "chain" if path.stem.endswith("chain") else path.stem
+            out = outs / f"{path.stem}.out"
+            codes[path.name] = cli.main([sub, "--config", str(path), "--out", str(out)])
+        codes["seed"] = cli.main(["chain", "--config", "configs/bell_chain.cfg",
+                                  "--out", str(outs / "seed.out"), "--seed", "8"])
+        print(json.dumps([codes, "argparse" in sys.modules]))
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=root,
+                            env={**os.environ, "PYTHONPATH": str(root / "src")},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    codes, imported = json.loads(result.stdout)
+    assert len(codes) == len(list((root / "configs").glob("*.cfg"))) + 1 >= 8
+    assert set(codes.values()) == {0}, codes
+    assert not imported
+    assert (tmp_path / "seed.out").read_bytes() != (tmp_path / "bell_chain.out").read_bytes()
 
 
 class TestDeterminism:
