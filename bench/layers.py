@@ -37,7 +37,7 @@ written through cli._emit to a sink that drops the text, on the n + 1 rows of a 
 p_diff, pop_plus, pop_minus of the closed qubit at delta 0.5, dt 0.005) and of a damp table (the
 same plus purity, from the damped run above); the columns are built outside the timed call.  At
 two fixed table shapes it times the writer alone, _floatcsv.csv_block, on one block as cli._rows
-hands it over: a 4,096-row damp table (a full block of EMIT_LINES rows, 5 columns) and a
+hands it over: a 4,096-row damp table (a full block of dynamics.BLOCK rows, 5 columns) and a
 1,001-row beat table (4 columns); these rows also give the time per value, ns_per_value.  At
 every shot count n it times gatescript.run_script over n shots of the 12-qubit script that puts
 every qubit through H and then measures them all (seed 1), the widest outcome tree the register
@@ -48,8 +48,8 @@ config read, sizing report, atomic write), and cli._parse_argv alone on the same
 kernel runs once to warm up and once more to size a batch of back-to-back calls that lasts at
 least MIN_BATCH_S, so microsecond kernels are timed above the clock's noise; then --repeats
 batches run and the best time per call counts.  A kernel that raises NotConverged (the coarsest
-grids) is timed all the same and its outcome says so.  Each grid and shot kernel runs once more,
-untimed, under tracemalloc, and its row records that call's peak of traced allocations as
+grids) is timed all the same and its outcome says so.  Each grid, step and shot kernel runs once
+more, untimed, under tracemalloc, and its row records that call's peak of traced allocations as
 peak_mb (numpy arrays included).  Batched calls are warm: the file cache and the CPU's caches
 stay primed from one call to the next, so a row understates a cold path, most of all for the
 command line rows.  For figures measured call by call, in sequence with other work, use
@@ -357,8 +357,8 @@ def main(argv=None) -> int:
                   ("n_qubits", args.qubits, lambda pkg, n: register_kernels(pkg, n, tmp), False),
                   ("shape", [(), (max_qubits, 400)], propagator_kernels, False),
                   ("shape", [(max_qubits, 396)], product_kernels, False),
-                  ("n_steps", args.steps, step_kernels, False),
-                  ("table", [(pkg.cli.EMIT_LINES, 5), (1001, 4)], writer_kernels, False),
+                  ("n_steps", args.steps, step_kernels, True),
+                  ("table", [(pkg.dynamics.BLOCK, 5), (1001, 4)], writer_kernels, False),
                   ("n_shots", args.shots, lambda pkg, n: shot_kernels(pkg, n, script_path), True),
                   ("call", ["device"], lambda pkg, name: call_kernels(pkg, name, tmp), False))
         for key, sizes, kernels, traced in tables:

@@ -52,12 +52,10 @@ from . import chirality, device, dynamics, gatescript
 from ._floatcsv import csv_block
 from .chirality import GaplessTexture, MethodDisagreement, NotConverged
 from .device import MaterialParams
-from .dynamics import DensityMatrix, QubitState, StepTooLarge, TwoLevelParams
+from .dynamics import BLOCK, DensityMatrix, QubitState, StepTooLarge, TwoLevelParams
 from .gatescript import ScriptError
 from .kspace import GapParams
 from .register import LinkOff
-
-EMIT_LINES = 4096  # output lines per written piece
 
 
 class ConfigError(ValueError):
@@ -133,20 +131,19 @@ def _fmt(value) -> str:
 
 
 def _rows(header: str, *columns) -> Iterator[str]:
-    """The CSV text: the header line, then EMIT_LINES rows across the columns per piece, each
-    value as _fmt writes it (_floatcsv.csv_block)."""
+    """The CSV text: the header line, then BLOCK rows per piece, each value as _fmt writes it."""
     values = [np.asarray(column, dtype=float) for column in columns]
     if not all(np.isfinite(column).all() for column in values):
         raise ValueError(f"non-finite values in the {header} columns: inputs out of range")
-    blocks = (csv_block(np.column_stack([column[start:start + EMIT_LINES] for column in values]))
-              for start in range(0, len(values[0]), EMIT_LINES))
+    blocks = (csv_block(np.column_stack([column[start:start + BLOCK] for column in values]))
+              for start in range(0, len(values[0]), BLOCK))
     return itertools.chain([header + "\n"], blocks)
 
 
 def _text(lines: Iterable[str]) -> Iterator[str]:
-    """Each line and a newline, EMIT_LINES lines per piece: no copy of the whole output is held."""
+    """Each line and a newline, BLOCK lines per piece: no copy of the whole output is held."""
     lines = iter(lines)
-    while chunk := list(itertools.islice(lines, EMIT_LINES)):
+    while chunk := list(itertools.islice(lines, BLOCK)):
         yield "\n".join(chunk) + "\n"
 
 
@@ -255,11 +252,11 @@ def _probability_lines(probs: np.ndarray, n: int) -> list[str]:
 
 
 def _shot_lines(tokens: list[str], shot_history: np.ndarray) -> Iterator[str]:
-    """'shot k measurements: ...' for each shot, formatted EMIT_LINES shots at a time."""
+    """'shot k measurements: ...' for each shot, formatted BLOCK shots at a time."""
     return itertools.chain.from_iterable(
         [f"shot {k} measurements: {tokens[i]}"
-         for k, i in enumerate(shot_history[start:start + EMIT_LINES].tolist(), start + 1)]
-        for start in range(0, len(shot_history), EMIT_LINES))
+         for k, i in enumerate(shot_history[start:start + BLOCK].tolist(), start + 1)]
+        for start in range(0, len(shot_history), BLOCK))
 
 
 def run_chain(config: dict) -> Iterator[str]:

@@ -12,10 +12,10 @@ to a single pure-dephasing rate gamma (jump operator sigma_z); the rate damps
 the beating but does not shift delta.  Every evolution is built from one
 exact 2x2 exponential, `_propagator`, evaluated on arrays of steps or times,
 so norm and trace are preserved unconditionally.  An undriven trajectory
-samples `_propagator` at every time; a driven trajectory takes every prefix
-product of its steps (log-depth scan), a driven propagator only the total
-(pairwise, in blocks of STEP_BLOCK steps, all RF biases at once); damped
-steps by doubling powers of one Strang superoperator; no Python step loops.
+samples `_propagator` at every time.  The others run in blocks of BLOCK steps,
+each carried from the one before: a driven trajectory scans a block's prefix
+products (log depth), a driven propagator halves it to its total (all RF biases
+at once), and damped samples come by doubling powers of one Strang superoperator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ for _matrix in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):  # shared by every caller:
 
 STEP_SAFETY_LIMIT = 0.1
 MAX_STEPS = 10**6  # cap on the steps (or samples) of one trajectory
-STEP_BLOCK = 2**15  # steps built at once by a driven propagator; bounds its memory
+BLOCK = 2**12  # steps, samples or output lines handled at once: bounds each pass's memory
 _FEW_PAIRS = 256  # pairs of a product level that _total_product multiplies in one broadcast
 
 
@@ -236,8 +236,8 @@ def evolve_damped(
     every step.  Returns (times, rhos) with rhos of shape (n_samples, 2, 2),
     sampled every dt from the initial matrix onward.
 
-    The step is one 4x4 superoperator S on row-major vec(rho); the samples are
-    filled by doubling, out[m:2m] = out[:m] @ (S^m).T, forming log2(n) powers.
+    The step is one 4x4 superoperator S on row-major vec(rho).  The samples double, out[m:2m] =
+    out[:m] @ (S^m).T, up to the largest power of two m <= BLOCK; then out[j] = out[j-m] @ (S^m).T.
     """
     if params.drive_amp != 0.0:
         raise ValueError("driven-damped evolution is not supported; set drive_amp = 0")
@@ -253,32 +253,33 @@ def evolve_damped(
 
     out = np.empty((n + 1, 4), dtype=complex)
     out[0] = rho.rho.reshape(4)
-    m = 1
+    m, stride = 1, 1  # power = S^stride; while doubling, stride = m
     while m <= n:
-        k = min(m, n + 1 - m)
-        out[m:m + k] = out[:k] @ power.T
-        power = power @ power
+        k = min(stride, n + 1 - m)
+        np.matmul(out[m - stride:m - stride + k], power.T, out=out[m:m + k])
         m += k
+        if 2 * stride <= BLOCK:
+            power, stride = power @ power, 2 * stride
     return np.arange(n + 1) * dt, out.reshape(n + 1, 2, 2)
 
 
 def _drive_steps(params: TwoLevelParams, t: float, dt: float, eps):
-    """Step unitaries of the RF-driven qubit over [0, t] in time-ordered blocks of STEP_BLOCK steps.
+    """The step count n of the RF-driven qubit over [0, t], and its unitaries in blocks of BLOCK.
 
     A step freezes e0*I + epsilon*sigma_z + (drive_amp*cos(drive_freq*t) - delta)*sigma_x at
     its midpoint and exponentiates it exactly: unitary to rounding for any dt, while dt bounds
-    the midpoint error (StepTooLarge, checked before the first block).  A block is
-    (..., steps, 2, 2), one row per bias of an `eps` of shape (..., 1), or a float; `eps`
-    stands for params.epsilon.
+    the midpoint error (StepTooLarge, checked first).  A block is (..., steps, 2, 2), one row
+    per bias of an `eps` of shape (..., 1), or a float; `eps` stands for params.epsilon.
     """
     _require_closed(params, allow_drive=True)
     _check_step(dt, abs(params.e0) + math.hypot(np.abs(eps).max(), params.delta + params.drive_amp))
     n = _n_steps(t, dt)
-    for k in range(0, n, STEP_BLOCK):
-        mid = (np.arange(k, min(n, k + STEP_BLOCK)) + 0.5) * dt
+    def block(k: int) -> np.ndarray:  # steps k to k + BLOCK, in time order
+        mid = (np.arange(k, min(n, k + BLOCK)) + 0.5) * dt
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN steps
             x = -params.delta + params.drive_amp * np.cos(params.drive_freq * mid)
-        yield _propagator(params.e0, x, eps, dt)
+        return _propagator(params.e0, x, eps, dt)
+    return n, map(block, range(0, n, BLOCK))
 
 
 def _mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -323,10 +324,9 @@ def _total_product(steps: np.ndarray) -> np.ndarray:
 def _drive_propagators(params: TwoLevelParams, t: float, dt: float, epsilon) -> np.ndarray:
     """drive_propagator for each bias of the 1-D `epsilon`, which replaces params.epsilon."""
     eps = np.asarray(epsilon, dtype=float)
-    totals = (_total_product(steps) for steps in _drive_steps(params, t, dt, eps[:, None]))
-    total = next(totals, None)
-    if total is None:  # a pulse of zero steps
-        return np.tile(IDENTITY, (len(eps), 1, 1))
+    n, blocks = _drive_steps(params, t, dt, eps[:, None])
+    totals = map(_total_product, blocks)
+    total = next(totals) if n else np.tile(IDENTITY, (len(eps), 1, 1))  # zero steps: identity
     for block in totals:
         total = _mul(block, total)  # block totals in time order
     return total
@@ -352,6 +352,9 @@ def drive_evolve(
         _require_closed(params)
         times = np.arange(_n_steps(t, dt) + 1) * dt
         return times, _propagator(params.e0, -params.delta, params.epsilon, times) @ state.vector
-    steps = np.concatenate([IDENTITY[None], *_drive_steps(params, t, dt, params.epsilon)])
-    out = _running_products(steps) @ state.vector  # the identity (step -1) gives sample 0
-    return np.arange(len(out)) * dt, out
+    n, blocks = _drive_steps(params, t, dt, params.epsilon)
+    out = np.empty((n + 1, 2), dtype=complex)
+    out[0] = state.vector
+    for k, steps in zip(range(1, n + 1, BLOCK), blocks):  # each block from the sample before it
+        np.matmul(_running_products(steps), out[k - 1], out=out[k:k + len(steps)])
+    return np.arange(n + 1) * dt, out

@@ -93,9 +93,11 @@ def test_layer_timer_runs(tmp_path):
     assert all(row["ns_per_value"] > 0.0 for row in layers if "table" in row)
     assert not any("ns_per_value" in row for row in layers if "table" not in row)
     assert all(row["best_s"] > 0.0 for row in layers)
-    # every grid kernel allocates its mesh and every shot kernel its draws, so their traced
-    # peaks are positive
-    assert all(row["peak_mb"] > 0.0 for row in layers if "n_grid" in row or "n_shots" in row)
+    # every grid kernel allocates its mesh, every step kernel its steps or rows and every shot
+    # kernel its draws, so their traced peaks are positive; the other rows are not traced
+    traced = ("n_grid", "n_steps", "n_shots")
+    assert all(row["peak_mb"] > 0.0 for row in layers if any(key in row for key in traced))
+    assert not any("peak_mb" in row for row in layers if not any(key in row for key in traced))
     # 64^2 resolves the configs/chern.cfg point with both estimators
     assert all(row["outcome"] in ("ok", "N = 1") for row in layers if row.get("n_grid") == 64)
     assert all(row["outcome"] == "ok" for row in layers if "n_grid" not in row)

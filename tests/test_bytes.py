@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chiralqubit import cli, dynamics, register
 from chiralqubit.cli import main
+from chiralqubit.dynamics import DensityMatrix, QubitState, TwoLevelParams
 from chiralqubit.register import MAX_QUBITS
 
 RF12_SCRIPT = "".join(f"RESET {q} {'+1' if q % 3 else '-1'}\n" for q in range(12)) + """\
@@ -38,6 +39,13 @@ RUNS = {
     "damp-degenerate": ("damp", "e0 = 0.0\ndelta = 0.0\nepsilon = 0.0\ngamma = 0.1\n"
                                 "t_max = 20.0\ndt = 0.01\n",
                         "f8891e9328699d422490ced85158e50191bd9d862c05339205ef7ecdfc03286b"),
+    # past one block: 10,000 driven steps (three blocks) and 20,001 damped samples
+    "rabi-blocks": ("rabi", "e0 = 0.0\ndelta = 0.3\nepsilon = 1.0\namp = 0.05\nomega = 2.1\n"
+                            "t_max = 50.0\ndt = 0.005\n",
+                    "46ea7563b5f31f794a98a58c2d8e316a25c283df06fcbe042826f7fa663597a1"),
+    "damp-blocks": ("damp", "e0 = 0.2\ndelta = 0.5\nepsilon = 0.3\ngamma = 0.05\n"
+                            "t_max = 200.0\ndt = 0.01\n",
+                    "874451111cee3cd44f7be32c8235f5e0df37bccb02e369f353cc818e9fc9cc3e"),
 }
 
 
@@ -179,6 +187,65 @@ def test_total_product_keeps_mul_for_large_levels(monkeypatch):
     # the levels of 198, 99, 49 and 25 pairs per bias hold more than 256 pairs in all and take
     # _mul; those of 12, 6, 3, 2 and 1 pairs take the broadcast product
     assert calls == [(12, pairs, 2, 2) for pairs in (198, 99, 49, 25)]
+
+
+# --- bit-exact references for the blocked trajectories ---------------------------------------
+
+def whole_stack_trajectory(state, params, t, dt):
+    """dynamics.drive_evolve as first written: the identity and every step in one stack, scanned
+    whole."""
+    n = dynamics._n_steps(t, dt)
+    x = -params.delta + params.drive_amp * np.cos(params.drive_freq * ((np.arange(n) + 0.5) * dt))
+    steps = dynamics._propagator(params.e0, x, params.epsilon, dt)
+    stack = np.concatenate([dynamics.IDENTITY[None], steps])  # the identity gives sample 0
+    return dynamics._running_products(stack) @ state.vector
+
+
+def doubled_trajectory(rho, params, t, dt):
+    """dynamics.evolve_damped as first written: doubling over the whole output."""
+    n = dynamics._n_steps(t, dt)
+    u = dynamics._propagator(params.e0, -params.delta, params.epsilon, dt)
+    half_decay = math.exp(-params.gamma * dt)
+    half = np.array([1.0, half_decay, half_decay, 1.0])
+    power = half[:, None] * np.kron(u, u.conj()) * half
+    out = np.empty((n + 1, 4), dtype=complex)
+    out[0] = rho.rho.reshape(4)
+    m = 1
+    while m <= n:
+        k = min(m, n + 1 - m)
+        out[m:m + k] = out[:k] @ power.T
+        power = power @ power
+        m += k
+    return out.reshape(n + 1, 2, 2)
+
+
+# the resonant drive of rabi-e0-zero, and one with a global phase (e0 != 0)
+DRIVES = [TwoLevelParams(delta=0.3, epsilon=1.0, drive_amp=0.05, drive_freq=2.1),
+          TwoLevelParams(e0=0.7, delta=0.2, epsilon=-0.4, drive_amp=0.3, drive_freq=1.3)]
+DAMPINGS = [TwoLevelParams(delta=0.5, gamma=0.05),
+            TwoLevelParams(e0=0.2, delta=0.5, epsilon=0.3, gamma=0.4)]
+
+
+@pytest.mark.parametrize("params", DRIVES)
+def test_driven_trajectory_in_one_block_matches_the_whole_stack_scan(params):
+    # up to one block the blocked scan is the whole scan less a product by the identity
+    for n in (0, 1, 2, 3, 100, 2000, dynamics.BLOCK - 1, dynamics.BLOCK):
+        for state in (QubitState.minus(), QubitState(0.6, 0.8j)):
+            _, got = dynamics.drive_evolve(state, params, n * 0.005, 0.005)
+            want = whole_stack_trajectory(state, params, n * 0.005, 0.005)
+            assert got.shape == want.shape == (n + 1, 2)
+            assert np.array_equal(bits(got), bits(want)), n
+
+
+@pytest.mark.parametrize("params", DAMPINGS)
+def test_damped_trajectory_in_two_blocks_matches_whole_doubling(params):
+    # the doubling is the same up to a stride of one block, which fills the second block
+    rho = DensityMatrix.from_state(QubitState.plus())
+    for n in (0, 1, 2, 5, 100, dynamics.BLOCK - 1, dynamics.BLOCK, 2 * dynamics.BLOCK - 1):
+        _, got = dynamics.evolve_damped(rho, params, n * 0.01, 0.01)
+        want = doubled_trajectory(rho, params, n * 0.01, 0.01)
+        assert got.shape == want.shape == (n + 1, 2, 2)
+        assert np.array_equal(bits(got), bits(want)), n
 
 
 def divided_projection(state, q, value, reset=False):

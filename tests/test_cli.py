@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chiralqubit import chirality, cli, gatescript
+from chiralqubit import chirality, cli, dynamics, gatescript
 from chiralqubit.cli import main
 from chiralqubit.kspace import GapParams
 
@@ -611,7 +611,7 @@ class TestOutputContract:
 
 
 class TestChunkedEmit:
-    # 200,000 shot-like lines: 7.3 MB of output, 49 chunks of cli.EMIT_LINES lines
+    # 200,000 shot-like lines: 7.3 MB of output, 49 chunks of dynamics.BLOCK lines
     LINES = [f"shot {k} measurements: 0:+1 1:-1" for k in range(1, 200_001)]
     PAYLOAD = ("\n".join(LINES) + "\n").encode()
 
@@ -671,7 +671,7 @@ class TestChunkedEmit:
         out = tmp_path / "shots.txt"
         out.write_text("previous run\n", encoding="utf-8")
         # a lone surrogate cannot be encoded: the write fails in the second chunk
-        lines = self.LINES[:cli.EMIT_LINES] + ["\ud800"] + self.LINES[cli.EMIT_LINES:]
+        lines = self.LINES[:dynamics.BLOCK] + ["\ud800"] + self.LINES[dynamics.BLOCK:]
         with pytest.raises(UnicodeEncodeError):
             cli._emit(cli._text(lines), str(out))
         assert out.read_text(encoding="utf-8") == "previous run\n"

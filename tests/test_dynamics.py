@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chiralqubit.dynamics import (
     _mul,
     _n_steps,
     _propagator,
+    _running_products,
     _total_product,
     beat_probability,
     drive_evolve,
@@ -545,10 +547,50 @@ class TestDriveKernels:
             sizes.append(steps.shape[-3])
             return _total_product(steps)
 
-        monkeypatch.setattr(dynamics, "STEP_BLOCK", block)
+        monkeypatch.setattr(dynamics, "BLOCK", block)
         monkeypatch.setattr(dynamics, "_total_product", total_product)
         assert np.abs(drive_propagator(params, n * 0.01, 0.01) - unblocked).max() < 1e-12
         assert sum(sizes) == n and max(sizes, default=block) <= block
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 21, 50])
+    def test_blocks_do_not_change_the_trajectories(self, monkeypatch, block, n):
+        # 3 and 7 are not powers of two: a damped block that doubles past them must not skip
+        # or repeat samples
+        driven = TwoLevelParams(e0=0.3, delta=0.2, epsilon=0.9, drive_amp=0.4, drive_freq=1.7)
+        damped = TwoLevelParams(e0=0.3, delta=0.2, epsilon=0.9, gamma=0.4)
+        rho0 = DensityMatrix.from_state(QubitState.plus())
+        runs = (lambda: drive_evolve(QubitState.minus(), driven, n * 0.01, 0.01),
+                lambda: evolve_damped(rho0, damped, n * 0.01, 0.01))
+        unblocked = [run() for run in runs]  # n + 1 <= BLOCK: one block
+        sizes = []
+
+        def running_products(steps):
+            sizes.append(len(steps))
+            return _running_products(steps)
+
+        monkeypatch.setattr(dynamics, "BLOCK", block)
+        monkeypatch.setattr(dynamics, "_running_products", running_products)
+        for run, (times, want) in zip(runs, unblocked):
+            got_times, got = run()
+            assert np.array_equal(got_times, times) and len(got) == len(want) == n + 1
+            assert np.abs(got - want).max() < 1e-12
+        assert sum(sizes) == n and max(sizes, default=block) <= block
+
+    def test_driven_trajectory_holds_its_output_and_a_few_blocks(self):
+        # 1e5 steps: the whole stack of step matrices is 6.4 MB, and scanning it whole took the
+        # tracemalloc peak to 14.4 MB
+        params = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0)
+        tracemalloc.start()
+        try:
+            times, amps = drive_evolve(QubitState.minus(), params, 500.0, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(amps) == 100_001
+        block = dynamics.BLOCK * 4 * 16  # bytes of one block of step matrices
+        # the times take twice their size while np.arange(n + 1) * dt is formed
+        assert peak < amps.nbytes + 2 * times.nbytes + 8 * block, peak
 
     @settings(max_examples=40, deadline=None)
     @given(params=params_strategy,
