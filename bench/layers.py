@@ -29,7 +29,10 @@ call (one closed step at delta 0.5, dt 0.005) and the (12, 400) step grid of a 1
 dynamics._total_product on the (12, 396) step stack of the same pulse, as long as the RF
 chain's.  At every step count n it times dynamics.drive_evolve (from |-1>) and
 dynamics.drive_propagator over n steps of dt 0.005 of the resonant drive of configs/rabi.cfg
-(epsilon 1, amp 0.05, omega 2), dynamics.evolve_closed composed n times over one step of dt
+(epsilon 1, amp 0.05, omega 2), dynamics.drive_evolve of the closed qubit at delta 0.5 (drive
+amp 0, from |+1>, n samples after the first: the path of beat), dynamics._drive_propagators
+over n steps of the 12-bias RF pulse above (its biases, amp and dt, omega 0.5; the row
+dynamics._drive_propagators.rf), dynamics.evolve_closed composed n times over one step of dt
 0.005 (from |+1>; the exact propagator has no step loop, so the row gives its cost per call) and
 dynamics.evolve_damped over n steps of dt 0.005 (from |+1>) at the point of configs/damp.cfg
 (delta 0.5, gamma 0.05).  At the same step counts it times the trajectory CSV writer, cli._rows
@@ -98,6 +101,7 @@ def load(scratch: Path) -> types.SimpleNamespace:
     pkg.params = pkg.kspace.GapParams(1.0, 1.0, +1)
     pkg.drive = pkg.dynamics.TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0)
     pkg.closed = pkg.dynamics.TwoLevelParams(delta=0.5)
+    pkg.rf = pkg.dynamics.TwoLevelParams(drive_amp=RF_CHAIN_AMP, drive_freq=2.0 * RF_CHAIN_STEP)
     pkg.damped = pkg.dynamics.TwoLevelParams(delta=0.5, gamma=0.05)
     return pkg
 
@@ -231,10 +235,15 @@ def step_kernels(pkg, n: int) -> dict:
     dynamics, t_max = pkg.dynamics, n * DRIVE_DT
     rho = dynamics.DensityMatrix.from_state(dynamics.QubitState.plus())
     beat, damp = _beat_table(pkg, n), _damp_table(pkg, rho, n)
+    _, eps = _rf_grid(pkg.register.MAX_QUBITS, 0)
     return {
         "dynamics.drive_evolve":
             lambda: dynamics.drive_evolve(dynamics.QubitState.minus(), pkg.drive, t_max, DRIVE_DT),
+        "dynamics.drive_evolve.closed":
+            lambda: dynamics.drive_evolve(dynamics.QubitState.plus(), pkg.closed, t_max, DRIVE_DT),
         "dynamics.drive_propagator": lambda: dynamics.drive_propagator(pkg.drive, t_max, DRIVE_DT),
+        "dynamics._drive_propagators.rf": lambda: dynamics._drive_propagators(
+            pkg.rf, n * RF_CHAIN_DT, RF_CHAIN_DT, eps),
         "dynamics.evolve_closed": lambda: _closed_steps(pkg, n),
         "dynamics.evolve_damped": lambda: dynamics.evolve_damped(rho, pkg.damped, t_max, DRIVE_DT),
         "cli._rows.beat": lambda: _write_table(pkg, "t,p_diff,pop_plus,pop_minus", beat),
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
                         row["ns_per_value"] = best * 1e9 / (n[0] * n[1])
                     layers.append({**row, "outcome": outcome})
                     peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
-                    print(f"{name:28s} {key} {n!s:>9} {best * 1e3:9.3f} ms{peak}  {outcome}")
+                    print(f"{name:30s} {key} {n!s:>9} {best * 1e3:9.3f} ms{peak}  {outcome}")
     params = pkg.params
     report = {
         "machine": machine(),

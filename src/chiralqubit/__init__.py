@@ -33,7 +33,7 @@ from .dynamics import (
     evolve_damped,
 )
 from .gatescript import Instruction, ScriptError, ScriptRun, parse_script, run_script
-from .kspace import GapParams, NonpositiveMu, d_z
+from .kspace import GapParams
 from .register import (
     CouplingLink,
     FieldProfile,

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NonpositiveMu(ValueError):
-    """Raised where the 1/k_F normalization is requested but mu <= 0."""
-
-
 @dataclass(frozen=True)
 class GapParams:
     """Order-parameter parameter set: gap magnitude, chemical potential, chirality.
@@ -42,12 +38,6 @@ class GapParams:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "chi", int(self.chi))
 
-    @property
-    def k_fermi(self) -> float:
-        if self.mu <= 0.0:
-            raise NonpositiveMu(f"k_F = sqrt(mu) undefined for mu = {self.mu}")
-        return math.sqrt(self.mu)
-
     def is_gapped(self) -> bool:
         """True when |m(k)| > 0 everywhere.
 
@@ -57,21 +47,7 @@ class GapParams:
         return self.mu < 0.0 or (self.delta > 0.0 and self.mu > 0.0)
 
     def _inplane_prefactor(self) -> float:
-        return self.delta / self.k_fermi if self.mu > 0.0 else self.delta
-
-
-def d_z(k, params: GapParams) -> complex:
-    """Gap amplitude delta*(k_x + i*chi*k_y)/k_F at momentum k = (k_x, k_y).
-
-    Requires mu > 0; for mu <= 0 use texture_field, which drops the 1/k_F factor.
-    """
-    if params.mu <= 0.0:
-        raise NonpositiveMu(
-            f"d_z normalization needs mu > 0, got mu = {params.mu}; "
-            "texture_field handles mu <= 0 with the unnormalized convention"
-        )
-    m_x, m_y, _ = texture_field(*k, params)
-    return complex(m_x, m_y)
+        return self.delta / math.sqrt(self.mu) if self.mu > 0.0 else self.delta
 
 
 def texture_field(kx, ky, params: GapParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

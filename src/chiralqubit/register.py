@@ -292,7 +292,8 @@ def selective_rf_pulse(
         raise ValueError(f"profile has {len(profile.eps)} biases for {state.n} qubits")
     if not (amp >= 0.0 and math.isfinite(amp)):
         raise ValueError(f"amp must be finite and >= 0, got {amp!r}")
-    if amp == 0.0:
+    if amp == 0.0:  # the identity, with the duration and step checks of a driven pulse
+        dynamics._n_steps(duration, dt)
         return state
     eps = profile.eps
     gap = np.diff(np.sort(eps)).min(initial=math.inf)  # closest pair of biases

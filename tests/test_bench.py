@@ -40,8 +40,10 @@ REGISTER_KERNELS = [
 ]
 SHAPE_KERNELS = [("dynamics._propagator", ()), ("dynamics._propagator", (12, 400)),
                  ("dynamics._total_product", (12, 396))]
-STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_propagator", "dynamics.evolve_closed",
-                "dynamics.evolve_damped", "cli._rows.beat", "cli._rows.damp"]
+STEP_KERNELS = ["dynamics.drive_evolve", "dynamics.drive_evolve.closed",
+                "dynamics.drive_propagator", "dynamics._drive_propagators.rf",
+                "dynamics.evolve_closed", "dynamics.evolve_damped", "cli._rows.beat",
+                "cli._rows.damp"]
 WRITER_TABLES = [(4096, 5), (1001, 4)]
 SHOT_KERNELS = ["gatescript.run_script", "cli.run_chain"]
 

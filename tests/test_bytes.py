@@ -189,6 +189,56 @@ def test_total_product_keeps_mul_for_large_levels(monkeypatch):
     assert calls == [(12, pairs, 2, 2) for pairs in (198, 99, 49, 25)]
 
 
+def carried_propagators(params, t, dt, epsilon):
+    """dynamics._drive_propagators as first written: each block's total, carried in time order."""
+    eps = np.asarray(epsilon, dtype=float)
+    n, blocks = dynamics._drive_steps(params, t, dt, eps[:, None])
+    totals = map(dynamics._total_product, blocks)
+    total = next(totals) if n else np.tile(dynamics.IDENTITY, (len(eps), 1, 1))
+    for block in totals:
+        total = dynamics._mul(block, total)
+    return total
+
+
+# a 12-qubit RF pulse as the chain runs it: biases 0.25 (q + 1), amp 0.035, dt 0.025
+RF_DRIVE = TwoLevelParams(drive_amp=0.035, drive_freq=1.5)
+RF_BIASES = 0.25 * np.arange(1, MAX_QUBITS + 1)
+
+
+@pytest.mark.parametrize("biases", [1, 2, MAX_QUBITS])
+def test_pulse_in_one_block_matches_the_carry(biases):
+    # one block runs the levels of _total_product on its steps, in the same order
+    eps = RF_BIASES[:biases]
+    for n in (0, 1, 2, 3, 43, 44, 396, 513, 1000, dynamics.BLOCK - 1, dynamics.BLOCK):
+        got = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, eps)
+        want = carried_propagators(RF_DRIVE, n * 0.025, 0.025, eps)
+        assert got.shape == want.shape == (biases, 2, 2)
+        assert np.array_equal(bits(got), bits(want)), n
+
+
+@pytest.mark.parametrize("biases", [1, 2, MAX_QUBITS])
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_pulse_past_one_block_stays_on_one_block(monkeypatch, biases, block):
+    eps = RF_BIASES[:biases]
+    for n in (8, 50, 601):
+        one_block = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "BLOCK", block)
+            got = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, eps)
+        assert np.abs(got - one_block).max() < 1e-12, n
+
+
+def test_pulse_of_many_full_blocks_stays_on_one_block(monkeypatch):
+    # full blocks halve through _mul levels, and what they leave takes _mul levels again
+    n = 5 * dynamics.BLOCK + 100
+    blocked = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, RF_BIASES)
+    carried = carried_propagators(RF_DRIVE, n * 0.025, 0.025, RF_BIASES)
+    monkeypatch.setattr(dynamics, "BLOCK", n)
+    one_block = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, RF_BIASES)
+    assert np.abs(blocked - one_block).max() < 1e-12
+    assert np.abs(carried - one_block).max() < 1e-12
+
+
 # --- bit-exact references for the blocked trajectories ---------------------------------------
 
 def whole_stack_trajectory(state, params, t, dt):
@@ -199,6 +249,13 @@ def whole_stack_trajectory(state, params, t, dt):
     steps = dynamics._propagator(params.e0, x, params.epsilon, dt)
     stack = np.concatenate([dynamics.IDENTITY[None], steps])  # the identity gives sample 0
     return dynamics._running_products(stack) @ state.vector
+
+
+def one_stack_closed_trajectory(state, params, t, dt):
+    """dynamics.drive_evolve at drive_amp = 0 as first written: every sample's propagator at
+    once."""
+    times = np.arange(dynamics._n_steps(t, dt) + 1) * dt
+    return dynamics._propagator(params.e0, -params.delta, params.epsilon, times) @ state.vector
 
 
 def doubled_trajectory(rho, params, t, dt):
@@ -233,6 +290,18 @@ def test_driven_trajectory_in_one_block_matches_the_whole_stack_scan(params):
         for state in (QubitState.minus(), QubitState(0.6, 0.8j)):
             _, got = dynamics.drive_evolve(state, params, n * 0.005, 0.005)
             want = whole_stack_trajectory(state, params, n * 0.005, 0.005)
+            assert got.shape == want.shape == (n + 1, 2)
+            assert np.array_equal(bits(got), bits(want)), n
+
+
+@pytest.mark.parametrize("params", [TwoLevelParams(delta=0.5),
+                                    TwoLevelParams(e0=0.7, delta=0.5, epsilon=-0.2)])
+def test_closed_trajectory_in_blocks_matches_the_one_stack(params):
+    # each sample is its own propagator applied to the state: blocks cannot change a bit
+    for n in (0, 1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1, 3 * dynamics.BLOCK + 5):
+        for state in (QubitState.plus(), QubitState(0.6, 0.8j)):
+            _, got = dynamics.drive_evolve(state, params, n * 0.01, 0.01)
+            want = one_stack_closed_trajectory(state, params, n * 0.01, 0.01)
             assert got.shape == want.shape == (n + 1, 2)
             assert np.array_equal(bits(got), bits(want)), n
 

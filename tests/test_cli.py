@@ -337,6 +337,15 @@ class TestChain:
         assert main(["chain", "--config", config]) == 5
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["RF 0 0 -1", "RF 0 0 1e300"])
+    def test_zero_amplitude_rf_duration_is_script_error(self, tmp_path, capsys, line):
+        # the identity pulse takes the checks of a driven one: a duration below 0 or above the
+        # step cap is exit 5, as for RF 0 0.01 -1
+        script = write(tmp_path / "rf.gates", line + "\n")
+        config = write(tmp_path / "c.cfg", f"script_path = {script}\n")
+        assert main(["chain", "--config", config]) == 5
+        assert capsys.readouterr().err.startswith("error: line 1: need a duration >= 0")
+
     @staticmethod
     def loop_listing(probs, n):
         """The per-index listing loop the chain runner used before its vectorized form."""

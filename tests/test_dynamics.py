@@ -17,6 +17,7 @@ from chiralqubit.dynamics import (
     StepTooLarge,
     TwoLevelParams,
     _drive_propagators,
+    _drive_steps,
     _mul,
     _n_steps,
     _propagator,
@@ -501,6 +502,41 @@ class TestAgainstExpm:
         assert np.abs(amps - np.array([u[:, 0] for u in reference])).max() < 1e-10
 
 
+class TestConvergenceOrder:
+    # the error of the scheme, not the scheme: halving dt must divide the max error by about 4
+    def test_driven_error_is_second_order(self):
+        params = TwoLevelParams(epsilon=1.1, drive_amp=0.09, drive_freq=2.2)
+        dts = (0.08, 0.04)
+        fine = dts[-1] / 64  # the same code at dt / 64: its error is 64^2 times smaller
+        _, reference = drive_evolve(QubitState.minus(), params, 40.0, fine)
+        errors = []
+        for dt in dts:
+            _, amps = drive_evolve(QubitState.minus(), params, 40.0, dt)
+            errors.append(np.abs(amps - reference[::round(dt / fine)]).max())
+        assert 1e-4 < errors[0] < 1e-2
+        assert 3.9 < errors[0] / errors[1] < 4.1  # max error at dt over that at dt / 2
+
+    @needs_scipy
+    def test_damped_error_is_second_order(self):
+        params = TwoLevelParams(e0=0.2, delta=0.5, epsilon=0.3, gamma=0.5)
+        h = hamiltonian(params)
+        # the Liouvillian on row-major vec(rho): vec(a rho b) = kron(a, b.T) vec(rho)
+        liouvillian = (-1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
+                       + params.gamma * (np.kron(SIGMA_Z, SIGMA_Z.T) - np.eye(4)))
+        rho0 = DensityMatrix.from_state(QubitState(0.6, 0.8j))
+        errors = []
+        for dt in (0.1, 0.05):
+            _, rhos = evolve_damped(rho0, params, 20.0, dt)
+            exact, vec = expm(liouvillian * dt), rho0.rho.reshape(4)
+            worst = 0.0
+            for rho in rhos:  # sample by sample against exp(L k dt) vec(rho0)
+                worst = max(worst, np.abs(rho.reshape(4) - vec).max())
+                vec = exact @ vec
+            errors.append(worst)
+        assert 1e-5 < errors[0] < 1e-2
+        assert 3.9 < errors[0] / errors[1] < 4.1  # max error at dt over that at dt / 2
+
+
 def random_matrices(rng, shape):
     return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
 
@@ -543,12 +579,12 @@ class TestDriveKernels:
         unblocked = drive_propagator(params, n * 0.01, 0.01)
         sizes = []
 
-        def total_product(steps):
-            sizes.append(steps.shape[-3])
-            return _total_product(steps)
+        def drive_steps(*args):
+            n, blocks = _drive_steps(*args)
+            return n, (sizes.append(steps.shape[-3]) or steps for steps in blocks)
 
         monkeypatch.setattr(dynamics, "BLOCK", block)
-        monkeypatch.setattr(dynamics, "_total_product", total_product)
+        monkeypatch.setattr(dynamics, "_drive_steps", drive_steps)
         assert np.abs(drive_propagator(params, n * 0.01, 0.01) - unblocked).max() < 1e-12
         assert sum(sizes) == n and max(sizes, default=block) <= block
 
@@ -591,6 +627,40 @@ class TestDriveKernels:
         block = dynamics.BLOCK * 4 * 16  # bytes of one block of step matrices
         # the times take twice their size while np.arange(n + 1) * dt is formed
         assert peak < amps.nbytes + 2 * times.nbytes + 8 * block, peak
+
+    def test_closed_trajectory_holds_its_output_and_a_few_blocks(self):
+        # 1e5 samples at drive_amp = 0: the closed propagators of every sample at once are 6.4 MB
+        params = TwoLevelParams(e0=0.3, delta=0.5, epsilon=-0.2)
+        tracemalloc.start()
+        try:
+            times, amps = drive_evolve(QubitState.plus(), params, 1000.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(amps) == 100_001
+        block = dynamics.BLOCK * 4 * 16  # bytes of one block of propagators
+        assert peak < amps.nbytes + 2 * times.nbytes + 8 * block, peak
+
+    def test_long_pulse_holds_a_few_blocks(self):
+        # 3e5 steps of one bias: the partial products every block leaves (an eighth of its
+        # steps) would take 4.8 MB if they were all kept to the end
+        params = TwoLevelParams(epsilon=1.0, drive_amp=0.05, drive_freq=2.0)
+        tracemalloc.start()
+        try:
+            drive_propagator(params, 1500.0, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dynamics.BLOCK * 4 * 16, peak  # eight blocks of step matrices
+
+    def test_total_product_stops_before_the_broadcast_levels(self):
+        steps = random_matrices(np.random.default_rng(5), (12, 396)) / 2.0
+        left = _total_product(steps, mul_levels=True)
+        # 396 -> 198 -> 99 -> 50 -> 25 steps per bias; 12 more pairs per bias (144 in all) would
+        # be a broadcast level
+        assert left.shape == (12, 25, 2, 2)
+        assert np.abs(_total_product(left) - _total_product(steps)).max() < 1e-12
+        assert _total_product(steps[:, :1], mul_levels=True).shape == (12, 1, 2, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(params=params_strategy,

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralqubit.kspace import GapParams, NonpositiveMu, d_z, texture_field
+from chiralqubit.kspace import GapParams, texture_field
+
+
+def d_z(k, params):
+    """The gap amplitude delta*(k_x + i*chi*k_y)/k_F at one momentum: texture_field's in-plane
+    pair."""
+    m_x, m_y, _ = texture_field(*k, params)
+    return complex(m_x, m_y)
 
 
 class TestGapParams:
@@ -30,9 +37,9 @@ class TestGapParams:
         assert not params.is_gapped()
 
     def test_k_fermi(self):
-        assert GapParams(1.0, 4.0, 1).k_fermi == 2.0
-        with pytest.raises(NonpositiveMu):
-            GapParams(1.0, -1.0, 1).k_fermi
+        # the in-plane pair is divided by k_F = sqrt(mu) for mu > 0 and by nothing below
+        assert d_z((1.0, 0.0), GapParams(1.0, 4.0, 1)) == 0.5
+        assert d_z((1.0, 0.0), GapParams(1.0, -1.0, 1)) == 1.0
 
     def test_gapped_classification(self):
         assert GapParams(1.0, 1.0, 1).is_gapped()
@@ -53,12 +60,6 @@ class TestGapAmplitude:
         # 0.5 * (1 - 1i) / 1
         value = d_z((1.0, 1.0), GapParams(0.5, 1.0, -1))
         assert value == pytest.approx(0.5 - 0.5j, abs=1e-15)
-
-    def test_rejects_nonpositive_mu(self):
-        with pytest.raises(NonpositiveMu):
-            d_z((1.0, 0.0), GapParams(1.0, 0.0, 1))
-        with pytest.raises(NonpositiveMu):
-            d_z((1.0, 0.0), GapParams(1.0, -1.0, 1))
 
 
 def m_vector(k, params):
@@ -102,9 +103,11 @@ class TestTexture:
         assert mz == 2.0
 
     def test_in_plane_pair_is_d_z(self):
-        params = GapParams(0.7, 2.0, -1)
-        mx, my, _ = m_vector((0.3, -1.1), params)
-        assert complex(mx, my) == d_z((0.3, -1.1), params)
+        # 0.7 * (0.3 + 1.1i) / sqrt(2): chi = -1 turns k_y = -1.1 into +1.1
+        mx, my, mz = m_vector((0.3, -1.1), GapParams(0.7, 2.0, -1))
+        assert mx == pytest.approx(0.21 / math.sqrt(2.0), abs=1e-15)
+        assert my == pytest.approx(0.77 / math.sqrt(2.0), abs=1e-15)
+        assert mz == pytest.approx(0.09 + 1.21 - 2.0, abs=1e-15)
 
     def test_unit_norm_random_momenta(self):
         rng = np.random.default_rng(12)

@@ -441,6 +441,15 @@ class TestSelectiveRf:
         state = random_state(2, np.random.default_rng(9))
         out = selective_rf_pulse(state, FieldProfile((1.0, 1.5)), 0, 0.0, 10.0, 0.01)
         assert np.array_equal(out.amps, state.amps)
+        assert out is state
+
+    @pytest.mark.parametrize("duration, dt", [(-1.0, 0.01), (1e300, 0.01), (1.0, -0.01),
+                                              (1.0, 0.0)])
+    def test_zero_amplitude_checks_duration_and_step(self, duration, dt):
+        # an amp-0 pulse is the identity, but it takes the step count of a driven pulse
+        with pytest.raises(ValueError, match="the cap"):
+            selective_rf_pulse(RegisterState.all_minus(2), FieldProfile((1.0, 1.5)), 0, 0.0,
+                               duration, dt)
 
     def test_single_qubit_reduces_to_driven_dynamics(self):
         amp, duration, dt, eps = 0.05, 40.0, 0.01, 1.0
