@@ -50,13 +50,15 @@ cli.main on "device --config configs/device.cfg --out FILE", the cheapest full c
 config read, sizing report, atomic write), and cli._parse_argv alone on the same argv.  Each
 kernel runs once to warm up and once more to size a batch of back-to-back calls that lasts at
 least MIN_BATCH_S, so microsecond kernels are timed above the clock's noise; then --repeats
-batches run and the best time per call counts.  A kernel that raises NotConverged (the coarsest
-grids) is timed all the same and its outcome says so.  Each grid, step and shot kernel runs once
-more, untimed, under tracemalloc, and its row records that call's peak of traced allocations as
-peak_mb (numpy arrays included).  Batched calls are warm: the file cache and the CPU's caches
-stay primed from one call to the next, so a row understates a cold path, most of all for the
-command line rows.  For figures measured call by call, in sequence with other work, use
-bench/digest.py --against TREE --rounds N.
+batches run and the best time per call counts.  Around those batches the row reads the
+process's minor page faults (resource.getrusage) and records their mean per call as
+minflt_per_call: a heap that the allocator trims between calls and faults in again shows there.
+A kernel that raises NotConverged (the coarsest grids) is timed all the same and its outcome
+says so.  Each grid, step and shot kernel runs once more, untimed, under tracemalloc, and its
+row records that call's peak of traced allocations as peak_mb (numpy arrays included).  Batched
+calls are warm: the file cache and the CPU's caches stay primed from one call to the next, so a
+row understates a cold path, most of all for the command line rows.  For figures measured call
+by call, in sequence with other work, use bench/digest.py --against TREE --rounds N.
 
 The JSON file holds the timings and the machine facts: nproc, Python, numpy, the BLAS numpy was
 built with, and the thread environment variables.
@@ -73,6 +75,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import tracemalloc
 import types
@@ -292,19 +295,21 @@ def _outcome(pkg, call) -> str:
     return f"N = {result.n_integer}" if hasattr(result, "n_integer") else "ok"
 
 
-def time_kernel(pkg, call, repeats: int) -> tuple[float, str]:
-    """Best wall time per call over `repeats` batches, and the outcome."""
+def time_kernel(pkg, call, repeats: int) -> tuple[float, float, str]:
+    """Best wall time per call over `repeats` batches, minor page faults per call, the outcome."""
     outcome = _outcome(pkg, call)
     start = perf_counter()
     _outcome(pkg, call)
     number = max(1, math.ceil(MIN_BATCH_S / (perf_counter() - start)))
     best = float("inf")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):
         start = perf_counter()
         for _ in range(number):
             _outcome(pkg, call)
         best = min(best, (perf_counter() - start) / number)
-    return best, outcome
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best, faults / (repeats * number), outcome
 
 
 def peak_mb(pkg, call) -> float:
@@ -373,15 +378,16 @@ def main(argv=None) -> int:
         for key, sizes, kernels, traced in tables:
             for n in sizes:
                 for name, call in kernels(pkg, n).items():
-                    best, outcome = time_kernel(pkg, call, args.repeats)
-                    row = {"kernel": name, key: n, "best_s": best}
+                    best, faults, outcome = time_kernel(pkg, call, args.repeats)
+                    row = {"kernel": name, key: n, "best_s": best, "minflt_per_call": faults}
                     if traced:
                         row["peak_mb"] = peak_mb(pkg, call)
                     if key == "table":
                         row["ns_per_value"] = best * 1e9 / (n[0] * n[1])
                     layers.append({**row, "outcome": outcome})
                     peak = f"  {row['peak_mb']:7.2f} MB" if traced else ""
-                    print(f"{name:30s} {key} {n!s:>9} {best * 1e3:9.3f} ms{peak}  {outcome}")
+                    print(f"{name:30s} {key} {n!s:>9} {best * 1e3:9.3f} ms {faults:9.1f} flt{peak}"
+                          f"  {outcome}")
     params = pkg.params
     report = {
         "machine": machine(),

@@ -21,14 +21,16 @@ file, whether or not it existed before.  Fixed exit codes:
     0  success                         4  StepTooLarge
     1  config or usage error           5  gate-script parse error
     2  gapless texture                 6  operation across an off link
-    3  invariant did not converge, or the two estimators disagree
+    3  invariant did not converge (antipodal plaquette corners too), or the two
+       estimators disagree
 
 A trajectory (beat, damp, rabi) and an RF pulse may take at most
 dynamics.MAX_STEPS = 10**6 steps; more is a config error (exit 1), or a
 script error (exit 5) from inside a chain script.  A chain may take at most
 gatescript.MAX_SHOTS = 10**6 shots and a chern grid at most
 chirality.MAX_GRID = 1024 points per side; more is a config error (exit 1).
-A CSV column that would hold NaN or inf is a config error (exit 1) too.
+A CSV column that would hold NaN or inf is a config error (exit 1) too, and so
+is a run that cannot allocate an array it needs (MemoryError).
 
 Every float in the output is written as Python's repr writes it: the
 shortest string that reads back to the same double.  beat, damp and rabi
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import chirality, device, dynamics, gatescript
 from ._floatcsv import csv_block
-from .chirality import GaplessTexture, MethodDisagreement, NotConverged
+from .chirality import DegeneratePlaquette, GaplessTexture, MethodDisagreement, NotConverged
 from .device import MaterialParams
 from .dynamics import BLOCK, DensityMatrix, QubitState, StepTooLarge, TwoLevelParams
 from .gatescript import ScriptError
@@ -63,14 +65,14 @@ class ConfigError(ValueError):
 
 
 # exception types -> exit code (see above), most specific first: GaplessTexture,
-# StepTooLarge, ScriptError and ConfigError are all ValueErrors
+# DegeneratePlaquette, StepTooLarge, ScriptError and ConfigError are all ValueErrors
 _EXIT_CODES = (
     ((GaplessTexture,), 2),
-    ((NotConverged, MethodDisagreement), 3),
+    ((NotConverged, DegeneratePlaquette, MethodDisagreement), 3),
     ((StepTooLarge,), 4),
     ((ScriptError,), 5),
     ((LinkOff,), 6),
-    ((ValueError, OSError), 1),
+    ((ValueError, OSError, MemoryError), 1),
 )
 _MAPPED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 

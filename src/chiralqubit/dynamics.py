@@ -15,8 +15,8 @@ so norm and trace are preserved unconditionally.  Every run goes in blocks of
 BLOCK steps or samples: an undriven trajectory samples `_propagator` at a block's
 times, a driven one scans a block's prefix products (log depth) from the sample
 before it, damped samples come by doubling powers of one Strang superoperator,
-and a driven propagator halves each block (all RF biases at once) and takes one
-product tree over what the blocks leave.
+and a driven propagator (all RF biases at once) is each block's product, then the
+product of the block products.
 """
 
 from __future__ import annotations
@@ -303,44 +303,37 @@ def _running_products(steps: np.ndarray) -> np.ndarray:
     return steps
 
 
-def _total_product(steps: np.ndarray, mul_levels: bool = False) -> np.ndarray:
+def _total_product(steps: np.ndarray) -> np.ndarray:
     """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] (n >= 1) by pairwise halving.
 
     A level of at most _FEW_PAIRS pairs takes one broadcast product: the same two products
     and sum per entry as _mul, in fewer numpy calls, which pays only while calls cost more
-    than the arithmetic.  With `mul_levels`, the halving stops before the first such level and
-    returns the stack of (..., m, 2, 2) partial products left, in time order.
+    than the arithmetic.
     """
     while steps.shape[-3] > 1:
         a, b = steps[..., 1::2, :, :], steps[..., 0:-1:2, :, :]  # later steps on the left
         if a.size > 4 * _FEW_PAIRS:
             pairs = _mul(a, b)
-        elif mul_levels:
-            break
         else:
             pairs = a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
         if steps.shape[-3] % 2:  # the odd last step joins the next level as it is
             pairs = np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
         steps = pairs
-    return steps if mul_levels else steps[..., 0, :, :]
+    return steps[..., 0, :, :]
 
 
 def _drive_propagators(params: TwoLevelParams, t: float, dt: float, epsilon) -> np.ndarray:
     """drive_propagator for each bias of the 1-D `epsilon`, which replaces params.epsilon.
 
-    Each block halves through its _mul levels alone and joins the partial products left before
-    it, which halve through theirs again; the broadcast levels run once, at the end, so a pulse
-    of one block runs _total_product's levels in order.  Memory stays O(block).
+    Each block's product, then the product of the block products; a pulse of one block keeps
+    the bits of its own product.  Memory stays O(block): two blocks of steps (the list's loop
+    holds the last while the next is built) and n/BLOCK small matrices.
     """
     eps = np.asarray(epsilon, dtype=float)
     n, blocks = _drive_steps(params, t, dt, eps[:, None])
     if not n:
         return np.tile(IDENTITY, (len(eps), 1, 1))
-    left = _total_product(next(blocks), mul_levels=True)
-    for block in blocks:
-        block = _total_product(block, mul_levels=True)
-        left = _total_product(np.concatenate([left, block], axis=-3), mul_levels=True)
-    return _total_product(left)
+    return _total_product(np.stack([_total_product(block) for block in blocks], axis=-3))
 
 
 def drive_propagator(params: TwoLevelParams, t: float, dt: float) -> np.ndarray:

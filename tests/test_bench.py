@@ -95,6 +95,7 @@ def test_layer_timer_runs(tmp_path):
     assert all(row["ns_per_value"] > 0.0 for row in layers if "table" in row)
     assert not any("ns_per_value" in row for row in layers if "table" not in row)
     assert all(row["best_s"] > 0.0 for row in layers)
+    assert all(row["minflt_per_call"] >= 0.0 for row in layers)
     # every grid kernel allocates its mesh, every step kernel its steps or rows and every shot
     # kernel its draws, so their traced peaks are positive; the other rows are not traced
     traced = ("n_grid", "n_steps", "n_shots")

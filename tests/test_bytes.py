@@ -229,7 +229,7 @@ def test_pulse_past_one_block_stays_on_one_block(monkeypatch, biases, block):
 
 
 def test_pulse_of_many_full_blocks_stays_on_one_block(monkeypatch):
-    # full blocks halve through _mul levels, and what they leave takes _mul levels again
+    # each full block takes its own product, and the six block products take one more tree
     n = 5 * dynamics.BLOCK + 100
     blocked = dynamics._drive_propagators(RF_DRIVE, n * 0.025, 0.025, RF_BIASES)
     carried = carried_propagators(RF_DRIVE, n * 0.025, 0.025, RF_BIASES)

@@ -166,6 +166,26 @@ class TestChern:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "quadrature reports 1 but plaquette reports 0" in err
 
+    def test_antipodal_plaquette_corners_exit_code(self, tmp_path, capsys):
+        # the input of test_degenerate_plaquette_detected: corner (h/2, h/2) has k^2 = mu
+        code, out = run_to_file(tmp_path, "chern", "gap = 1.0\nmu = 0.03125\nchi = 1\n"
+                                "method = plaquette\nn_grid = 64\nk_max = 8.0\n")
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: two plaquette corners are antipodal") and err.count("\n") == 1
+
+    def test_antipodal_corners_at_every_level_exit_code(self, tmp_path, capsys, monkeypatch):
+        def antipodal(*args):
+            raise chirality.DegeneratePlaquette("two plaquette corners are antipodal")
+
+        monkeypatch.setattr(chirality, "_plaquette_sum", antipodal)
+        code, out = run_to_file(tmp_path, "chern", "gap = 1\nmu = 1\nchi = 1\nmethod = both\n")
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: two plaquette corners are antipodal\n"
+
     def test_unknown_method_is_config_error(self, tmp_path, capsys):
         config = cli._coerce("chern", {"method": "bogus"})
         with pytest.raises(cli.ConfigError, match="method must be both, quadrature or plaquette"):
@@ -291,6 +311,20 @@ class TestChain:
         config = write(tmp_path / "c.cfg", f"script_path = {script}\nshots = {shots}\n")
         assert main(["chain", "--config", config]) == 1
         assert f"got {shots}" in capsys.readouterr().err
+
+    def test_draw_matrix_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a real (shots, MEASUREs) matrix too large to allocate fails at once or is granted and
+        # killed later, by the kernel's overcommit setting: raise the error numpy raises instead
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape (1000000, 20000)")
+
+        monkeypatch.setattr(gatescript, "run_script", no_memory)
+        script = write(tmp_path / "swap.gates", SWAP_SCRIPT)
+        code, out = run_to_file(tmp_path, "chain", f"script_path = {script}\nshots = 1000000\n")
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 149. GiB") and err.count("\n") == 1
 
     def test_link_off_exit_code(self, tmp_path):
         script = write(tmp_path / "off.gates", "XCHG 0 1 1.0\n")

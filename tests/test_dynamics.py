@@ -653,15 +653,6 @@ class TestDriveKernels:
             tracemalloc.stop()
         assert peak < 8 * dynamics.BLOCK * 4 * 16, peak  # eight blocks of step matrices
 
-    def test_total_product_stops_before_the_broadcast_levels(self):
-        steps = random_matrices(np.random.default_rng(5), (12, 396)) / 2.0
-        left = _total_product(steps, mul_levels=True)
-        # 396 -> 198 -> 99 -> 50 -> 25 steps per bias; 12 more pairs per bias (144 in all) would
-        # be a broadcast level
-        assert left.shape == (12, 25, 2, 2)
-        assert np.abs(_total_product(left) - _total_product(steps)).max() < 1e-12
-        assert _total_product(steps[:, :1], mul_levels=True).shape == (12, 1, 2, 2)
-
     @settings(max_examples=40, deadline=None)
     @given(params=params_strategy,
            biases=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
